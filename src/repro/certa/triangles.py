@@ -100,7 +100,6 @@ def _ranked_candidates(
     rng: random.Random,
     max_candidates: int | None,
     indexed: bool = True,
-    tiered: bool | None = None,
     min_token_length: int = DEFAULT_BLOCKING_TOKEN_LENGTH,
 ) -> list[Record]:
     """Candidate support records, ordered to find the wanted prediction fast.
@@ -126,7 +125,6 @@ def _ranked_candidates(
             exclude_ids=(free.record_id,),
             min_token_length=min_token_length,
             indexed=indexed,
-            tiered=tiered,
         )
     if indexed:
         # The index already holds the records in canonical id order.
@@ -160,7 +158,6 @@ def _find_side_triangles(
     exclude_support_ids: frozenset[str] | set[str] | None = None,
     exclude_support_keys: frozenset | set | None = None,
     indexed: bool = True,
-    tiered: bool | None = None,
 ) -> tuple[list[OpenTriangle], int, int]:
     """Find up to ``needed`` triangles on one side; returns (triangles, scored, augmented).
 
@@ -219,7 +216,7 @@ def _find_side_triangles(
                     return
 
     natural_candidates = _ranked_candidates(
-        source, pivot, free, want_match, rng, max_candidates, indexed=indexed, tiered=tiered
+        source, pivot, free, want_match, rng, max_candidates, indexed=indexed
     )
     if not force_augmentation:
         scan(natural_candidates, augmented=False)
@@ -249,7 +246,6 @@ def find_open_triangles(
     allow_augmentation: bool = True,
     force_augmentation: bool = False,
     indexed: bool = True,
-    tiered: bool | None = None,
 ) -> TriangleSearchResult:
     """Find ``count`` open triangles for a prediction (half left, half right).
 
@@ -268,10 +264,7 @@ def find_open_triangles(
     shared :class:`~repro.data.indexing.SourceTokenIndex` (the default) or by
     scanning and re-tokenising the source (the reference path).  Both return
     identical triangles; the indexed search also reports its
-    :class:`~repro.data.indexing.IndexStats` delta on the result.  ``tiered``
-    is forwarded to the index's :meth:`~repro.data.indexing.SourceTokenIndex.top_k`
-    and picks the traversal (compiled tiered ranker vs dict walk) — it never
-    changes which triangles come back.
+    :class:`~repro.data.indexing.IndexStats` delta on the result.
     """
     if count <= 0:
         raise TriangleError(f"triangle count must be positive, got {count}")
@@ -290,12 +283,12 @@ def find_open_triangles(
 
     left_triangles, left_scored, left_augmented = _find_side_triangles(
         model, pair, "left", left_source, original_match, per_side, rng,
-        max_candidates, allow_augmentation, force_augmentation, indexed=indexed, tiered=tiered,
+        max_candidates, allow_augmentation, force_augmentation, indexed=indexed,
     )
     right_needed = count - len(left_triangles) if len(left_triangles) < per_side else count - per_side
     right_triangles, right_scored, right_augmented = _find_side_triangles(
         model, pair, "right", right_source, original_match, right_needed, rng,
-        max_candidates, allow_augmentation, force_augmentation, indexed=indexed, tiered=tiered,
+        max_candidates, allow_augmentation, force_augmentation, indexed=indexed,
     )
     triangles = left_triangles + right_triangles
 
@@ -315,7 +308,6 @@ def find_open_triangles(
             exclude_support_ids=used_support_ids,
             exclude_support_keys=used_support_keys,
             indexed=indexed,
-            tiered=tiered,
         )
         triangles.extend(extra)
         left_scored += extra_scored

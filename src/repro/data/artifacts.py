@@ -81,7 +81,8 @@ ARTIFACT_SCHEMA_VERSION = 3
 #: Environment variable naming the process-wide artifact directory.
 ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 
-#: Default token-hash shard count of a compiled/persisted source index.
+#: Token-hash shard count of a persisted source index (the npz layout groups
+#: its token table by :func:`token_shard`).
 DEFAULT_INDEX_SHARDS = 8
 
 #: OSError errnos that flip a store into memory-only mode: conditions a
@@ -100,12 +101,11 @@ _DEGRADE_ERRNOS = frozenset(
 
 
 def token_shard(token: str, num_shards: int) -> int:
-    """The shard owning ``token`` (stable token-hash range partitioning).
+    """The shard owning ``token`` in the persisted index layout.
 
+    ``save_source_index`` orders the token table shard-major by this key.
     ``crc32`` rather than ``hash``: python string hashing is salted per
-    process, and shard assignment must agree between the worker processes of
-    a parallel build, the loader of a persisted artifact and the incremental
-    maintenance that invalidates single shards after a mutation.
+    process, and the layout must not depend on which process wrote it.
     """
     return zlib.crc32(token.encode("utf-8")) % num_shards
 
@@ -551,7 +551,7 @@ class ArtifactStore:
         record_count: int,
         index_arrays: Mapping[str, object],
     ) -> Path:
-        """Persist a compiled index already in sharded-CSR array form.
+        """Persist a source index already in sharded-CSR array form.
 
         ``index_arrays`` carries the same keys :meth:`load_source_index`
         returns — ``num_shards``, ``tokens`` (shard-major, sorted within each

@@ -99,10 +99,7 @@ def token_blocking(
     map come from each source's shared :class:`SourceTokenIndex` (built once,
     reused across calls and by the triangle search); ``indexed=False``
     re-tokenises both sources — the scan reference the indexed path must
-    match exactly.  When the index holds only a compiled (numpy CSR) form —
-    after a warm npz load or a sharded parallel build — ``posting_items``
-    streams postings straight out of the compiled arrays without
-    materialising the dict representation.
+    match exactly.
     """
     if indexed:
         from repro.data.indexing import get_source_index
@@ -155,7 +152,6 @@ def top_k_neighbours(
     exclude_ids: Iterable[str] = (),
     min_token_length: int = DEFAULT_BLOCKING_TOKEN_LENGTH,
     indexed: bool = True,
-    tiered: bool | None = None,
 ) -> list[Record]:
     """Return the ``k`` candidates with the highest token overlap with ``query``.
 
@@ -169,16 +165,14 @@ def top_k_neighbours(
     candidate.  When ``candidates`` is a :class:`DataSource` and ``indexed``
     is true, the query runs through the source's shared
     :class:`SourceTokenIndex`; any other iterable (or ``indexed=False``) takes
-    the scan path, which scores every candidate.  ``tiered`` picks the index
-    traversal (compiled tiered ranker vs dict walk, see
-    :meth:`SourceTokenIndex.top_k`); it selects an implementation, never a
-    result — all three paths return byte-identical rankings.
+    the scan path, which scores every candidate.  Both paths return
+    byte-identical rankings.
     """
     if indexed and isinstance(candidates, DataSource):
         from repro.data.indexing import get_source_index
 
         index = get_source_index(candidates, min_token_length)
-        return index.top_k(query, k=k, exclude_ids=exclude_ids, tiered=tiered)
+        return index.top_k(query, k=k, exclude_ids=exclude_ids)
 
     excluded = set(exclude_ids)
     scored = [

@@ -24,7 +24,13 @@ it.  On top of that it answers:
 * :meth:`token_set` / :meth:`query_tokens` — interned blocking-token sets for
   index records and ad-hoc query records.
 
-Indexes are built lazily, cached on the :class:`~repro.data.table.DataSource`
+There is one in-memory representation: slot-addressed posting lists in a
+dict (token -> sorted slot ids) beside per-slot token sets.  The
+:meth:`top_k` walk over it is the df-ordered, early-terminating top-k of
+Xiao et al. ("Top-k set similarity joins", ICDE 2009); the reference scan
+stays behind it as the golden oracle and the fallback when the walk fails.
+
+Indexes are built on first use, cached on the :class:`~repro.data.table.DataSource`
 instance per ``min_token_length`` (:func:`get_source_index`), and maintained
 **incrementally**: each build records the source's ``data_version`` and
 :meth:`~repro.data.table.DataSource.content_hash`, and on the next query
@@ -58,27 +64,15 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import os
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 from repro import faults
-from repro.data.artifacts import (
-    DEFAULT_INDEX_SHARDS,
-    ArtifactStore,
-    default_store,
-    token_shard,
-)
+from repro.data.artifacts import ArtifactStore, default_store
 from repro.data.blocking import DEFAULT_BLOCKING_TOKEN_LENGTH
 from repro.data.records import Record, RecordPair
 from repro.data.table import DataSource, SourceDelta, combine_content_hash
 from repro.text.tokenize import tokenize
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import (no cycle at runtime)
-    from repro.eval.runner import SweepRunner
 
 #: Interned blocking-token sets keyed by (record content text, min length).
 #: Content-addressed like :class:`repro.text.interning.ValueFeatureCache`:
@@ -89,12 +83,6 @@ _TOKEN_SET_CACHE: dict[tuple[str, int], frozenset[str]] = {}
 #: at million-record scale the per-record entries would pin the whole token
 #: universe in a process-lifetime dict for a one-shot derivation.
 _INTERN_CACHE_RECORD_LIMIT = 50_000
-
-#: ``tiered=None`` (auto) routes :meth:`SourceTokenIndex.top_k` through the
-#: compiled arrays once a source reaches this many records — or earlier, if a
-#: compiled view already exists (e.g. after a warm npz load or a sharded
-#: parallel build).  Below it the dict traversal wins on constant factors.
-COMPILED_MIN_RECORDS = 16384
 
 
 def interned_blocking_tokens(record: Record, min_length: int) -> frozenset[str]:
@@ -139,20 +127,12 @@ class IndexStats:
         Records never materialised as ranking candidates thanks to the
         inverted index (zero-overlap records skipped plus records cut off by
         the early-termination bound).
-    ``bytes_resident``
-        Bytes held by the compiled numpy view of the index (0 while only the
-        dict representation exists).  A gauge rather than a monotone counter:
-        deltas between snapshots report how much compiled memory appeared (or
-        was released by recompiles) over the window.
     ``compile_ms``
-        Milliseconds spent freezing the dict representation into the
-        compiled arrays (full compiles plus dirty-shard recompiles).
+        Always 0.0: the index has no compiled form.  The field stays so rows
+        and traces that read it keep their schema.
     ``degraded_queries``
-        Traversal-tier fallbacks taken while answering queries: a compiled
-        traversal that failed and fell back to the dict walk counts one, a
-        dict walk that failed and fell back to the reference scan counts
-        another.  Results stay byte-identical across tiers; 0 on every
-        fault-free run.
+        Top-k queries whose dict walk failed and fell back to the reference
+        scan.  Results stay byte-identical; 0 on every fault-free run.
     """
 
     builds: int = 0
@@ -161,7 +141,6 @@ class IndexStats:
     queries: int = 0
     postings_visited: int = 0
     candidates_pruned: int = 0
-    bytes_resident: int = 0
     compile_ms: float = 0.0
     degraded_queries: int = 0
 
@@ -174,7 +153,6 @@ class IndexStats:
             queries=self.queries - other.queries,
             postings_visited=self.postings_visited - other.postings_visited,
             candidates_pruned=self.candidates_pruned - other.candidates_pruned,
-            bytes_resident=self.bytes_resident - other.bytes_resident,
             compile_ms=self.compile_ms - other.compile_ms,
             degraded_queries=self.degraded_queries - other.degraded_queries,
         )
@@ -188,7 +166,6 @@ class IndexStats:
             queries=self.queries + other.queries,
             postings_visited=self.postings_visited + other.postings_visited,
             candidates_pruned=self.candidates_pruned + other.candidates_pruned,
-            bytes_resident=self.bytes_resident + other.bytes_resident,
             compile_ms=self.compile_ms + other.compile_ms,
             degraded_queries=self.degraded_queries + other.degraded_queries,
         )
@@ -202,7 +179,6 @@ class IndexStats:
             "index_queries": self.queries,
             "index_postings_visited": self.postings_visited,
             "index_candidates_pruned": self.candidates_pruned,
-            "index_bytes_resident": self.bytes_resident,
             "index_compile_ms": self.compile_ms,
             "index_degraded_queries": self.degraded_queries,
         }
@@ -251,9 +227,8 @@ class _PendingPostings:
             raise _DeltaReplayError(f"slot {slot} not posted under {token!r}")
         removes.add(slot)
 
-    def commit(self) -> set[str]:
-        """Apply the buffered edits; the set of tokens whose lists changed."""
-        touched: set[str] = set()
+    def commit(self) -> None:
+        """Apply the buffered edits."""
         for token, removes in self._removes.items():
             if not removes:
                 continue
@@ -262,86 +237,12 @@ class _PendingPostings:
                 self._postings[token] = kept
             else:
                 del self._postings[token]
-            touched.add(token)
         for token, adds in self._adds.items():
             if not adds:
                 continue
             slots = self._postings.setdefault(token, [])
             slots.extend(adds)
             slots.sort()
-            touched.add(token)
-        return touched
-
-
-def _compile_shard_arrays(token_lists: dict[str, list[int]]) -> _CompiledShard:
-    """Freeze one shard's ``token -> sorted slot list`` map into CSR arrays."""
-    tokens = sorted(token_lists)
-    token_offsets = np.zeros(len(tokens) + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter((len(token_lists[token]) for token in tokens), dtype=np.int64, count=len(tokens)),
-        out=token_offsets[1:],
-    )
-    postings = np.fromiter(
-        (slot for token in tokens for slot in token_lists[token]),
-        dtype=np.int32,
-        count=int(token_offsets[-1]),
-    )
-    return _CompiledShard(tokens, token_offsets, postings)
-
-
-class _CompiledShard:
-    """One token-hash shard of a compiled index (CSR posting lists over slots)."""
-
-    __slots__ = ("tokens", "rows", "token_offsets", "postings")
-
-    def __init__(self, tokens: list[str], token_offsets: np.ndarray, postings: np.ndarray) -> None:
-        self.tokens = tokens
-        self.rows = {token: row for row, token in enumerate(tokens)}
-        self.token_offsets = token_offsets  # int64, len(tokens) + 1
-        self.postings = postings  # int32 slot ids, sorted within each row
-
-    def row_slots(self, token: str) -> np.ndarray | None:
-        row = self.rows.get(token)
-        if row is None:
-            return None
-        return self.postings[self.token_offsets[row] : self.token_offsets[row + 1]]
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.token_offsets.nbytes + self.postings.nbytes)
-
-
-class _CompiledIndex:
-    """Frozen numpy view of a :class:`SourceTokenIndex` (the query hot path).
-
-    Posting lists are addressed by **slot** (stable across mutations), so a
-    replayed delta dirties only the shards owning the mutated record's
-    tokens; the O(records) globals — per-slot token-set sizes and the
-    slot→id-order-position map (−1 for tombstones) — are refreshed on every
-    recompile, which keeps them exact without touching clean shards.
-    """
-
-    __slots__ = ("num_shards", "shards", "sizes", "slot_positions")
-
-    def __init__(
-        self,
-        num_shards: int,
-        shards: list[_CompiledShard],
-        sizes: np.ndarray,
-        slot_positions: np.ndarray,
-    ) -> None:
-        self.num_shards = num_shards
-        self.shards = shards
-        self.sizes = sizes  # int32 token-set size per slot
-        self.slot_positions = slot_positions  # int64 id-order position per slot
-
-    def row_slots(self, token: str) -> np.ndarray | None:
-        return self.shards[token_shard(token, self.num_shards)].row_slots(token)
-
-    @property
-    def nbytes(self) -> int:
-        total = int(self.sizes.nbytes + self.slot_positions.nbytes)
-        return total + sum(shard.nbytes for shard in self.shards)
 
 
 class SourceTokenIndex:
@@ -376,7 +277,6 @@ class SourceTokenIndex:
         self.queries = 0
         self.postings_visited = 0
         self.candidates_pruned = 0
-        self.compile_ms = 0.0
         self.degraded_queries = 0
         self._built_hash: str | None = None
         self._built_version: int | None = None
@@ -386,39 +286,15 @@ class SourceTokenIndex:
         #: a single ``is`` comparison of the list object — not a sweep — is a
         #: sound freshness fast path.  Read-only by contract.
         self._snapshot: list[Record] | None = None
-        # Slot-addressed stores (tombstoned on removal).  ``_slot_tokens`` /
-        # ``_postings`` are ``None`` while the dict representation is
-        # *deferred* — a warm npz load or a sharded parallel build installs
-        # only the compiled arrays, and :meth:`_ensure_dict_state`
-        # materialises the mutable form on first need (replay, canonical
-        # save, dict traversal).
+        # Slot-addressed stores (tombstoned on removal):
         self._slots: list[Record | None] = []
-        self._slot_tokens: list[frozenset[str]] | None = []
-        self._postings: dict[str, list[int]] | None = {}
+        self._slot_tokens: list[frozenset[str]] = []
+        self._postings: dict[str, list[int]] = {}
         self._tombstones = 0
         # Canonical id-order views (parallel arrays, maintained by bisect):
         self._records: list[Record] = []
         self._ids: list[str] = []
         self._id_slots: list[int] = []
-        # Compiled numpy view (frozen from the dict state, or installed
-        # directly by a warm load / parallel build); ``_dirty_tokens``
-        # accumulates replayed posting edits so only touched shards recompile.
-        self._compiled: _CompiledIndex | None = None
-        self._dirty_tokens: set[str] = set()
-        #: True once a replay committed against an existing compiled view:
-        #: the O(records) globals (sizes, slot→position) must refresh even
-        #: when no posting list changed (e.g. an empty-token insert still
-        #: shifts id-order positions).
-        self._compiled_stale = False
-        #: Per-record sorted token-id rows from a warm npz load:
-        #: ``(token_table, arena_offsets, arena_tokens)`` — lets
-        #: ``_ensure_dict_state`` rebuild frozensets without re-tokenising.
-        self._lazy_arena: tuple[list[str], np.ndarray, np.ndarray] | None = None
-
-    @property
-    def bytes_resident(self) -> int:
-        """Bytes held by the compiled arrays (0 while only the dict exists)."""
-        return self._compiled.nbytes if self._compiled is not None else 0
 
     @property
     def stats(self) -> IndexStats:
@@ -430,8 +306,6 @@ class SourceTokenIndex:
             queries=self.queries,
             postings_visited=self.postings_visited,
             candidates_pruned=self.candidates_pruned,
-            bytes_resident=self.bytes_resident,
-            compile_ms=self.compile_ms,
             degraded_queries=self.degraded_queries,
         )
 
@@ -446,23 +320,20 @@ class SourceTokenIndex:
         """(Re)derive the index for the source's current content.
 
         With an artifact store attached, a persisted index for this exact
-        content hash is warm-loaded (counted under ``loads``) — installing
-        the compiled arrays directly (often memory-mapped) and *deferring*
-        the dict representation until a mutation or dict traversal actually
-        needs it.  Otherwise the token sets are derived from scratch
+        content hash is warm-loaded (counted under ``loads``): token sets and
+        posting lists are read from the stored rows instead of re-tokenising
+        the source.  Otherwise the token sets are derived from scratch
         (``builds``) and the result is saved back so the *next* process
         starts warm.
         """
         records = sorted(self.source.records, key=lambda record: record.record_id)
         ids = [record.record_id for record in records]
         store = self._artifact_store()
-        self._compiled = None
-        self._dirty_tokens = set()
-        self._compiled_stale = False
-        self._lazy_arena = None
         if store is not None:
             payload = store.load_source_index(content_hash, self.min_token_length, ids)
-            if payload is not None and self._install_loaded_arrays(records, ids, payload):
+            loaded = None if payload is None else self._decode_payload(records, payload)
+            if loaded is not None:
+                self._install(records, ids, *loaded)
                 self._built_hash = content_hash
                 self.loads += 1
                 return
@@ -471,14 +342,7 @@ class SourceTokenIndex:
         for position, tokens in enumerate(token_sets):
             for token in tokens:
                 postings.setdefault(token, []).append(position)
-        self._records = records
-        self._ids = ids
-        # Freshly built, slots coincide with id-order positions.
-        self._slots = list(records)
-        self._slot_tokens = list(token_sets)
-        self._id_slots = list(range(len(records)))
-        self._postings = postings
-        self._tombstones = 0
+        self._install(records, ids, token_sets, postings)
         self._built_hash = content_hash
         self.builds += 1
         if store is not None:
@@ -486,6 +350,22 @@ class SourceTokenIndex:
                 self.source.name, content_hash, self.min_token_length,
                 ids, token_sets, postings,
             )
+
+    def _install(
+        self,
+        records: list[Record],
+        ids: list[str],
+        token_sets: list[frozenset[str]],
+        postings: dict[str, list[int]],
+    ) -> None:
+        """Adopt a built or loaded state; slots coincide with id-order positions."""
+        self._records = records
+        self._ids = ids
+        self._slots = list(records)
+        self._slot_tokens = token_sets
+        self._id_slots = list(range(len(records)))
+        self._postings = postings
+        self._tombstones = 0
 
     def _derive_token_sets(self, records: list[Record]) -> list[frozenset[str]]:
         """Blocking-token sets for a cold build (interned below the size cap).
@@ -505,111 +385,41 @@ class SourceTokenIndex:
             for record in records
         ]
 
-    def _install_loaded_arrays(self, records: list[Record], ids: list[str], payload: dict) -> bool:
-        """Adopt a persisted npz payload: compiled view now, dict state deferred.
+    def _decode_payload(
+        self, records: list[Record], payload: dict
+    ) -> tuple[list[frozenset[str]], dict[str, list[int]]] | None:
+        """Token sets and posting lists from a persisted npz payload, or ``None``.
 
         A small sample of records is re-derived through the live tokeniser
         and compared against the stored arena rows: a mismatch (e.g. a
         tokeniser change that forgot to bump the artifact schema version)
         rejects the whole payload, so the caller rebuilds instead of
-        silently reusing stale derivations.  On success the payload's CSR
-        arrays — possibly zero-copy memmap views — become the compiled
-        index (freshly loaded, slots coincide with id-order positions), and
-        the token-id arena is kept so :meth:`_ensure_dict_state` can
-        materialise frozensets later without re-tokenising.
+        silently reusing stale derivations.  Otherwise each arena row (a
+        record's sorted token ids) becomes that record's token set and each
+        CSR row (a token's sorted record positions) its posting list.
         """
         token_table: list[str] = payload["tokens"]
-        arena_offsets = payload["arena_offsets"]
-        arena_tokens = payload["arena_tokens"]
-        if records:
-            for position in sorted({0, len(records) // 2, len(records) - 1}):
-                expected = frozenset(
-                    token
-                    for token in tokenize(records[position].as_text())
-                    if len(token) >= self.min_token_length
-                )
-                row = arena_tokens[int(arena_offsets[position]) : int(arena_offsets[position + 1])]
-                if frozenset(token_table[token_id] for token_id in row) != expected:
-                    return False
-        shard_offsets = payload["shard_offsets"]
-        token_offsets = payload["token_offsets"]
-        flat_postings = payload["postings"]
-        num_shards = int(payload["num_shards"])
-        shards: list[_CompiledShard] = []
-        for shard in range(num_shards):
-            first = int(shard_offsets[shard])
-            last = int(shard_offsets[shard + 1])
-            local_offsets = np.asarray(token_offsets[first : last + 1], dtype=np.int64)
-            base = int(local_offsets[0])
-            shards.append(
-                _CompiledShard(
-                    token_table[first:last],
-                    local_offsets - base,
-                    flat_postings[base : int(token_offsets[last])],
-                )
+        arena_offsets = payload["arena_offsets"].tolist()
+        arena_tokens = payload["arena_tokens"].tolist()
+        lookup = token_table.__getitem__
+        token_sets = [
+            frozenset(map(lookup, arena_tokens[start:end]))
+            for start, end in zip(arena_offsets, arena_offsets[1:])
+        ]
+        minimum = self.min_token_length
+        for position in sorted({0, len(records) // 2, len(records) - 1} if records else ()):
+            expected = frozenset(
+                token for token in tokenize(records[position].as_text()) if len(token) >= minimum
             )
-        count = len(records)
-        self._records = records
-        self._ids = ids
-        self._slots = list(records)
-        self._id_slots = list(range(count))
-        self._slot_tokens = None
-        self._postings = None
-        self._tombstones = 0
-        self._lazy_arena = (token_table, np.asarray(arena_offsets), np.asarray(arena_tokens))
-        self._compiled = _CompiledIndex(
-            num_shards,
-            shards,
-            np.diff(arena_offsets).astype(np.int32),
-            np.arange(count, dtype=np.int64),
-        )
-        self._dirty_tokens = set()
-        return True
-
-    def _ensure_dict_state(self) -> None:
-        """Materialise the mutable dict representation when it was deferred.
-
-        Token sets come from the warm-load arena when one exists (no
-        re-tokenisation); after a sharded parallel build — which never sees
-        per-record token sets in the parent — they are recovered by
-        inverting the compiled posting rows, which is derivation-equivalent
-        because the rows were themselves derived from the same token sets.
-        """
-        if self._postings is not None and self._slot_tokens is not None:
-            return
-        count = len(self._records)
-        if self._lazy_arena is not None:
-            token_table, arena_offsets, arena_tokens = self._lazy_arena
-            self._slot_tokens = [
-                frozenset(
-                    token_table[token_id]
-                    for token_id in arena_tokens[int(arena_offsets[position]) : int(arena_offsets[position + 1])]
-                )
-                for position in range(count)
-            ]
-        elif self._compiled is not None:
-            slot_lists: list[list[str]] = [[] for _ in range(count)]
-            for shard in self._compiled.shards:
-                offsets = shard.token_offsets
-                for row, token in enumerate(shard.tokens):
-                    for slot in shard.postings[offsets[row] : offsets[row + 1]].tolist():
-                        slot_lists[slot].append(token)
-            self._slot_tokens = [frozenset(tokens) for tokens in slot_lists]
-        else:  # pragma: no cover - deferred state always has a compiled origin
-            self._slot_tokens = self._derive_token_sets(self._records)
-        if self._compiled is not None:
-            postings: dict[str, list[int]] = {}
-            for shard in self._compiled.shards:
-                offsets = shard.token_offsets
-                for row, token in enumerate(shard.tokens):
-                    postings[token] = shard.postings[offsets[row] : offsets[row + 1]].tolist()
-        else:  # pragma: no cover - symmetric fallback
-            postings = {}
-            for slot, tokens in enumerate(self._slot_tokens):
-                for token in tokens:
-                    postings.setdefault(token, []).append(slot)
-        self._postings = postings
-        self._lazy_arena = None
+            if token_sets[position] != expected:
+                return None
+        token_offsets = payload["token_offsets"].tolist()
+        flat_postings = payload["postings"].tolist()
+        postings = {
+            token: flat_postings[token_offsets[row] : token_offsets[row + 1]]
+            for row, token in enumerate(token_table)
+        }
+        return token_sets, postings
 
     def canonical_state(self) -> tuple[list[str], list[frozenset[str]], dict[str, list[int]]]:
         """The index content in build-canonical form: ``(ids, token_sets, postings)``.
@@ -622,7 +432,6 @@ class SourceTokenIndex:
         same artifact a rebuilt one would) and what the differential fuzz
         suite compares against rebuild-from-scratch.
         """
-        self._ensure_dict_state()
         slot_positions = {slot: position for position, slot in enumerate(self._id_slots)}
         postings = {
             token: sorted(slot_positions[slot] for slot in slots)
@@ -739,7 +548,6 @@ class SourceTokenIndex:
         from the built hash and the deltas' record digests — O(deltas), not
         O(records).
         """
-        self._ensure_dict_state()
         pending = _PendingPostings(self._postings)
         try:
             for delta in deltas:
@@ -749,9 +557,7 @@ class SourceTokenIndex:
             # untouched; the slot/id-array edits already applied are repaired
             # by the rebuild the caller now performs.
             return None
-        touched = pending.commit()
-        self._dirty_tokens |= touched
-        self._compiled_stale = True
+        pending.commit()
         self.delta_applies += len(deltas)
         return combine_content_hash(
             self._built_hash,
@@ -821,126 +627,6 @@ class SourceTokenIndex:
         for position, record in enumerate(live_sorted):
             self._slots[self._id_slots[position]] = record
 
-    # -------------------------------------------------------------- compiling
-
-    def _ensure_compiled(self) -> _CompiledIndex:
-        """The compiled numpy view, (re)frozen from the dict state as needed.
-
-        A full compile groups every posting list into its token-hash shard;
-        after a replay only the shards owning dirtied tokens are recompiled —
-        posting rows address records by stable *slot*, so clean shards stay
-        valid verbatim.  The O(records) globals (per-slot set sizes, the
-        slot→position map with −1 tombstones) refresh on every pass.
-        """
-        compiled = self._compiled
-        if compiled is not None and not self._compiled_stale:
-            return compiled
-        self._ensure_dict_state()
-        started = time.perf_counter()
-        num_shards = compiled.num_shards if compiled is not None else DEFAULT_INDEX_SHARDS
-        if compiled is None:
-            grouped: dict[int, dict[str, list[int]]] = {
-                shard: {} for shard in range(num_shards)
-            }
-            for token, slots in self._postings.items():
-                grouped[token_shard(token, num_shards)][token] = slots
-            shards = [_compile_shard_arrays(grouped[shard]) for shard in range(num_shards)]
-        else:
-            shards = list(compiled.shards)
-            dirty_shards = {token_shard(token, num_shards) for token in self._dirty_tokens}
-            if dirty_shards:
-                grouped = {shard: {} for shard in dirty_shards}
-                for token, slots in self._postings.items():
-                    shard = token_shard(token, num_shards)
-                    if shard in grouped:
-                        grouped[shard][token] = slots
-                for shard in dirty_shards:
-                    shards[shard] = _compile_shard_arrays(grouped[shard])
-        slot_count = len(self._slots)
-        sizes = np.fromiter(
-            (len(tokens) for tokens in self._slot_tokens), dtype=np.int32, count=slot_count
-        )
-        slot_positions = np.full(slot_count, -1, dtype=np.int64)
-        for position, slot in enumerate(self._id_slots):
-            slot_positions[slot] = position
-        self._compiled = _CompiledIndex(num_shards, shards, sizes, slot_positions)
-        self._dirty_tokens = set()
-        self._compiled_stale = False
-        self.compile_ms += (time.perf_counter() - started) * 1000.0
-        return self._compiled
-
-    def build_sharded(
-        self,
-        runner: "SweepRunner | None" = None,
-        num_shards: int = DEFAULT_INDEX_SHARDS,
-        chunk_count: int | None = None,
-    ) -> None:
-        """Build the index by token-hash shards through a :class:`SweepRunner`.
-
-        Two task waves run through ``runner.map_tasks`` (serial, threads or
-        processes): ``index.tokenize_chunk`` tokenises contiguous record
-        chunks and partitions their (token → positions) maps by shard, then
-        ``index.compile_shard`` merges each shard's partials — chunk order
-        preserves ascending positions, so concatenation stays sorted — into
-        frozen CSR arrays.  The result installs as the compiled view with
-        the dict representation deferred (the parent never materialises
-        per-record token sets), which is what lets a process-pool build beat
-        a single-threaded one on multi-core hosts.
-        """
-        if runner is None:
-            from repro.eval.runner import SweepRunner
-
-            runner = SweepRunner(executor="serial")
-        records = sorted(self.source.records, key=lambda record: record.record_id)
-        ids = [record.record_id for record in records]
-        texts = [record.as_text() for record in records]
-        if chunk_count is None:
-            chunk_count = max(1, min(os.cpu_count() or 1, 16))
-        chunk = max(1, -(-len(texts) // chunk_count)) if texts else 1
-        payloads = [
-            (texts[start : start + chunk], start, self.min_token_length, num_shards)
-            for start in range(0, len(texts), chunk)
-        ]
-        started = time.perf_counter()
-        chunk_results = runner.map_tasks("index.tokenize_chunk", payloads)
-        sizes: list[int] = []
-        shard_partials: list[list[dict[str, list[int]]]] = [[] for _ in range(num_shards)]
-        for chunk_sizes, partials in chunk_results:
-            sizes.extend(chunk_sizes)
-            for shard in range(num_shards):
-                if partials[shard]:
-                    shard_partials[shard].append(partials[shard])
-        shard_rows = runner.map_tasks("index.compile_shard", shard_partials)
-        shards = [
-            _CompiledShard(
-                tokens,
-                np.ascontiguousarray(token_offsets, dtype=np.int64),
-                np.ascontiguousarray(postings, dtype=np.int32),
-            )
-            for tokens, token_offsets, postings in shard_rows
-        ]
-        count = len(records)
-        self._records = records
-        self._ids = ids
-        self._slots = list(records)
-        self._id_slots = list(range(count))
-        self._slot_tokens = None
-        self._postings = None
-        self._lazy_arena = None
-        self._tombstones = 0
-        self._compiled = _CompiledIndex(
-            num_shards,
-            shards,
-            np.asarray(sizes, dtype=np.int32),
-            np.arange(count, dtype=np.int64),
-        )
-        self._dirty_tokens = set()
-        self._compiled_stale = False
-        self.compile_ms += (time.perf_counter() - started) * 1000.0
-        self._built_hash, self._snapshot = self._source_content_state()
-        self._built_version = getattr(self.source, "data_version", None)
-        self.builds += 1
-
     # ---------------------------------------------------------------- reading
 
     def records_by_id(self) -> Sequence[Record]:
@@ -956,7 +642,6 @@ class SourceTokenIndex:
     def token_set(self, record_id: str) -> frozenset[str]:
         """The interned blocking-token set of an index record."""
         self.ensure_fresh()
-        self._ensure_dict_state()
         position = self._position(record_id)
         return self._slot_tokens[self._id_slots[position]]
 
@@ -968,43 +653,12 @@ class SourceTokenIndex:
         """Yield ``(token, record_ids)`` for every indexed token (one traversal).
 
         Counted as one query; postings visited covers every id yielded.
-        While the dict representation is deferred the compiled shards are
-        traversed directly (same pairs, shard-major token order) so a blocking
-        pass over a warm-loaded or parallel-built index never forces the
-        dict materialisation.
         """
         self.ensure_fresh()
         self.queries += 1
-        if self._postings is None and self._compiled is not None:
-            # Degradation is decided at entry, before anything is yielded, so
-            # a compiled-tier fault can never duplicate pairs mid-traversal.
-            try:
-                faults.fault_step("index.compiled")
-                shards = self._compiled.shards
-            except Exception:  # repro-lint: disable=EXC002 -- recovery contract: a compiled-tier fault degrades to the byte-identical dict traversal below, counted in degraded_queries
-                self.degraded_queries += 1
-            else:
-                slots_store = self._slots
-                for shard in shards:
-                    offsets = shard.token_offsets
-                    for row, token in enumerate(shard.tokens):
-                        slot_list = shard.postings[offsets[row] : offsets[row + 1]].tolist()
-                        self.postings_visited += len(slot_list)
-                        yield token, [slots_store[slot].record_id for slot in slot_list]
-                return
-        self._ensure_dict_state()
         for token, slots in self._postings.items():
             self.postings_visited += len(slots)
             yield token, [self._slots[slot].record_id for slot in slots]
-
-    def document_frequency(self, token: str) -> int:
-        """Number of records containing ``token``."""
-        self.ensure_fresh()
-        if self._postings is None and self._compiled is not None:
-            row = self._compiled.row_slots(token)
-            return 0 if row is None else int(row.size)
-        self._ensure_dict_state()
-        return len(self._postings.get(token, ()))
 
     def _position(self, record_id: str) -> int:
         position = bisect.bisect_left(self._ids, record_id)
@@ -1019,7 +673,6 @@ class SourceTokenIndex:
         query: Record,
         k: int | None = None,
         exclude_ids: Iterable[str] = (),
-        tiered: bool | None = None,
     ) -> list[Record]:
         """The exact top-``k`` records by Jaccard overlap with ``query``.
 
@@ -1029,16 +682,7 @@ class SourceTokenIndex:
         zero-overlap records filling remaining slots in id order.  ``k=None``
         ranks the whole source.
 
-        ``tiered`` selects the traversal, never the result: ``False`` walks
-        the dict posting lists (the exact golden reference), ``True`` runs
-        the tiered approximate-then-exact ranker over the compiled arrays
-        (:meth:`_top_k_compiled`), and ``None`` — the default every caller
-        uses — picks the compiled route once the source is large enough
-        (``COMPILED_MIN_RECORDS``) or a compiled view already exists.  Both
-        routes are byte-identical to each other and to the scan; the fuzz
-        and property suites assert all three pairwise.
-
-        The dict traversal is df-weighted: query tokens are processed rarest
+        The traversal is df-weighted: query tokens are processed rarest
         first, so low-selectivity tokens (the ones blocking would call stop
         words) are only walked when cheaper tokens could not already settle
         the top-k.  After ``i`` of ``|Q|`` tokens, a record sharing none of
@@ -1052,6 +696,10 @@ class SourceTokenIndex:
         ever being scored.  (Float rounding is monotone, so the computed
         bound dominates the computed exact score and the skip can never drop
         a tie-breaking candidate — results stay byte-identical to the scan.)
+
+        Should the walk fail (a fault injected at ``index.dict``, or a real
+        one), the query is answered by :meth:`_top_k_scan` instead and counted
+        in ``degraded_queries``; the result is the same either way.
         """
         self.ensure_fresh()
         self.queries += 1
@@ -1065,28 +713,17 @@ class SourceTokenIndex:
             self.candidates_pruned += len(self._records)
             return []
 
-        use_compiled = (
-            tiered
-            if tiered is not None
-            else self._compiled is not None or len(self._records) >= COMPILED_MIN_RECORDS
-        )
-        if use_compiled:
-            try:
-                return self._top_k_compiled(query_set, total, wanted, excluded)
-            except Exception:  # repro-lint: disable=EXC002 -- recovery contract: a compiled-tier fault (injected or real) falls back to the byte-identical dict walk, counted in degraded_queries
-                self.degraded_queries += 1
         try:
             return self._top_k_dict(query_set, total, wanted, excluded)
-        except Exception:  # repro-lint: disable=EXC002 -- recovery contract: last resort before the reference scan, which needs only records + tokeniser and ranks identically to both fast tiers
+        except Exception:  # repro-lint: disable=EXC002 -- recovery contract: the reference scan needs only records + tokeniser and ranks identically to the dict walk, counted in degraded_queries
             self.degraded_queries += 1
         return self._top_k_scan(query_set, total, wanted, excluded)
 
     def _top_k_dict(
         self, query_set: frozenset[str], total: int, wanted: int, excluded: set[str]
     ) -> list[Record]:
-        """Exact top-k over the dict posting lists (the golden fast path)."""
+        """Exact top-k over the dict posting lists (the fast path)."""
         faults.fault_step("index.dict")
-        self._ensure_dict_state()
         postings = self._postings
         slots_store = self._slots
         slot_tokens = self._slot_tokens
@@ -1156,11 +793,11 @@ class SourceTokenIndex:
     def _top_k_scan(
         self, query_set: frozenset[str], total: int, wanted: int, excluded: set[str]
     ) -> list[Record]:
-        """Reference scan over the id-ordered records (degradation tier 3).
+        """Reference scan over the id-ordered records (the fallback of :meth:`top_k`).
 
         Needs only the parallel id-order arrays and the token interner — no
-        posting lists, no compiled arrays — so it stays answerable after
-        either fast tier faulted.  Scores every non-excluded record with the
+        posting lists — so it stays answerable after the dict walk faulted.
+        Scores every non-excluded record with the
         same Jaccard as :func:`repro.data.blocking.overlap_score` and orders
         by ``(-score, record_id)``, byte-identical to
         :func:`repro.data.blocking.top_k_neighbours` with ``indexed=False``.
@@ -1179,142 +816,6 @@ class SourceTokenIndex:
             scored.append((score, record_id, record))
         scored.sort(key=lambda item: (-item[0], item[1]))
         return [record for _, __, record in scored[:wanted]]
-
-    def _top_k_compiled(
-        self, query_set: frozenset[str], total: int, wanted: int, excluded: set[str]
-    ) -> list[Record]:
-        """Tiered approximate-then-exact top-k over the compiled arrays.
-
-        **Tier 1 (approximate)** walks only a rarest-first *prefix* of the
-        query tokens' posting rows — a classic prefix/length filter — and
-        pools every slot they mention (one ``np.concatenate`` +
-        ``np.unique``).  **Tier 2 (exact)** completes the pool's overlap
-        counts against the skipped rows by binary-search probes
-        (``np.searchsorted``), so every pooled candidate gets its *exact*
-        Jaccard, then ranks by ``(-score, id-order position)``.  A record
-        outside the pool shares none of the ``p`` prefix tokens, bounding its
-        score by ``(L - p) / |Q|`` (``L`` = query tokens present in the
-        index); the result stands only if the k-th exact score strictly
-        beats that bound — otherwise the pass re-runs with the full prefix,
-        which is unconditionally exact.  Rounding is monotone (scores and
-        bound are correctly-rounded rationals), so the acceptance test can
-        never admit an approximation: results are byte-identical to
-        :meth:`_top_k_dict` and the scan reference.
-        """
-        faults.fault_step("index.compiled")
-        compiled = self._ensure_compiled()
-        records = self._records
-        count = len(records)
-        rows = []
-        for token in query_set:
-            slots = compiled.row_slots(token)
-            if slots is not None and slots.size:
-                rows.append((int(slots.size), token, slots))
-        rows.sort(key=lambda item: (item[0], item[1]))
-        present = len(rows)
-
-        result: list[Record] = []
-        if not rows:
-            for position, record_id in enumerate(self._ids):
-                if record_id in excluded:
-                    continue
-                result.append(records[position])
-                if len(result) >= wanted:
-                    break
-            self.candidates_pruned += count - len(result)
-            return result
-
-        excluded_positions = (
-            np.array(
-                sorted(self._position(record_id) for record_id in excluded if self._has(record_id)),
-                dtype=np.int64,
-            )
-            if excluded
-            else None
-        )
-        sizes = compiled.sizes
-        slot_positions = compiled.slot_positions
-
-        # Tier-1 prefix: enough rare rows to plausibly cover the top-k; the
-        # exactness check below re-runs with the full prefix if they did not.
-        prefix = present
-        if wanted < count and present > 1:
-            target = max(64, 4 * wanted)
-            cumulative = 0
-            prefix = 0
-            for df, _, _ in rows:
-                prefix += 1
-                cumulative += df
-                if cumulative >= target:
-                    break
-
-        slot_count = sizes.shape[0]
-        while True:
-            pooled = np.concatenate([slots for _, _, slots in rows[:prefix]])
-            self.postings_visited += int(pooled.size)
-            if pooled.size >= slot_count // 16:
-                # Dense pool: one O(slots) histogram beats the O(P log P)
-                # sort inside np.unique.
-                full_counts = np.bincount(pooled, minlength=slot_count)
-                cand = np.nonzero(full_counts)[0].astype(pooled.dtype)
-                counts = full_counts[cand]
-            else:
-                cand, counts = np.unique(pooled, return_counts=True)
-                counts = counts.astype(np.int64)
-            for _, _, slots in rows[prefix:]:
-                probe = np.searchsorted(slots, cand)
-                hit = probe < slots.size
-                if hit.any():
-                    hit[hit] = slots[probe[hit]] == cand[hit]
-                    counts += hit
-                self.postings_visited += int(cand.size)
-            positions = slot_positions[cand]
-            if excluded_positions is not None and excluded_positions.size:
-                mask = ~np.isin(positions, excluded_positions)
-                kept_counts = counts[mask]
-                kept_positions = positions[mask]
-                kept_sizes = sizes[cand[mask]].astype(np.int64)
-            else:
-                kept_counts = counts
-                kept_positions = positions
-                kept_sizes = sizes[cand].astype(np.int64)
-            scores = kept_counts / (total + kept_sizes - kept_counts)
-            if wanted > 0 and scores.size > 4 * wanted:
-                # Select-then-sort: every candidate scoring strictly above the
-                # `wanted`-th largest value is in the top-k; ties at that value
-                # are broken by id-order position.  Sorting only that superset
-                # is exact and avoids a full lexsort of the candidate pool.
-                kth_value = np.partition(scores, scores.size - wanted)[scores.size - wanted]
-                selected = np.nonzero(scores >= kth_value)[0]
-                local = np.lexsort((kept_positions[selected], -scores[selected]))
-                top = selected[local[:wanted]]
-            else:
-                order = np.lexsort((kept_positions, -scores))
-                top = order[:wanted]
-            if prefix >= present:
-                break
-            if top.size >= wanted:
-                kth = float(scores[top[-1]])
-                if kth > (present - prefix) / total:
-                    break
-            prefix = present
-
-        result = [records[int(kept_positions[index])] for index in top]
-        pool_count = int(cand.size)
-        fills = 0
-        if len(result) < wanted:
-            # Only reachable with the full prefix: every non-pool record
-            # provably has zero overlap, so the scan's id-order fill applies.
-            seen_positions = set(map(int, positions))
-            for position, record_id in enumerate(self._ids):
-                if position in seen_positions or record_id in excluded:
-                    continue
-                result.append(records[position])
-                fills += 1
-                if len(result) >= wanted:
-                    break
-        self.candidates_pruned += count - pool_count - fills
-        return result
 
     def _has(self, record_id: str) -> bool:
         try:
@@ -1336,23 +837,7 @@ class SourceTokenIndex:
         """
         self.ensure_fresh()
         self.queries += 1
-        tokens = list(tokens)  # may be consumed twice if the compiled tier degrades
         found: set[str] = set()
-        if self._postings is None and self._compiled is not None:
-            try:
-                faults.fault_step("index.compiled")
-                for token in tokens:
-                    row = self._compiled.row_slots(token)
-                    if row is None:
-                        continue
-                    self.postings_visited += int(row.size)
-                    for slot in row.tolist():
-                        found.add(self._slots[slot].record_id)
-                return found
-            except Exception:  # repro-lint: disable=EXC002 -- recovery contract: a compiled-tier fault clears the partial result and re-walks the dict postings, which yield the identical id set
-                self.degraded_queries += 1
-                found.clear()
-        self._ensure_dict_state()
         for token in tokens:
             slots = self._postings.get(token, ())
             self.postings_visited += len(slots)
@@ -1420,65 +905,6 @@ def changed_pairs(
     }
 
 
-def build_sharded_index(
-    source: DataSource,
-    min_token_length: int = DEFAULT_BLOCKING_TOKEN_LENGTH,
-    runner: "SweepRunner | None" = None,
-    num_shards: int = DEFAULT_INDEX_SHARDS,
-    chunk_count: int | None = None,
-) -> SourceTokenIndex:
-    """Build (or rebuild) ``source``'s shared index by parallel token-hash shards.
-
-    Convenience wrapper over :meth:`SourceTokenIndex.build_sharded` on the
-    same per-source cached instance :func:`get_source_index` returns, so the
-    parallel build feeds every downstream consumer (blocking, triangles,
-    ``top_k``) exactly like a lazy single-threaded one — just sooner.
-    """
-    index = get_source_index(source, min_token_length)
-    index.build_sharded(runner=runner, num_shards=num_shards, chunk_count=chunk_count)
-    return index
-
-
-def _tokenize_chunk_task(payload: tuple) -> tuple[list[int], list[dict[str, list[int]]]]:
-    """``index.tokenize_chunk``: derive one record chunk's shard-partitioned postings.
-
-    ``payload`` is ``(texts, base_position, min_token_length, num_shards)``;
-    returns per-record token-set sizes plus, per shard, a
-    ``token -> ascending positions`` partial map.  Derivation matches
-    :func:`interned_blocking_tokens` exactly (same tokeniser, same length
-    filter) without touching the interning cache — worker processes are
-    throwaway, and chunk-local dicts keep the pickled result small.
-    """
-    texts, base_position, min_token_length, num_shards = payload
-    sizes: list[int] = []
-    partials: list[dict[str, list[int]]] = [{} for _ in range(num_shards)]
-    for offset, text in enumerate(texts):
-        token_set = frozenset(
-            token for token in tokenize(text) if len(token) >= min_token_length
-        )
-        sizes.append(len(token_set))
-        position = base_position + offset
-        for token in token_set:
-            partials[token_shard(token, num_shards)].setdefault(token, []).append(position)
-    return sizes, partials
-
-
-def _compile_shard_task(partials: list[dict[str, list[int]]]) -> tuple:
-    """``index.compile_shard``: merge one shard's chunk partials into CSR arrays.
-
-    Partials arrive in ascending chunk order, so extending keeps every
-    posting row sorted without a per-row sort.  Returns ``(tokens,
-    token_offsets, postings)`` — plain pickle-friendly values the parent
-    wraps back into a ``_CompiledShard``.
-    """
-    merged: dict[str, list[int]] = {}
-    for partial in partials:
-        for token, positions in partial.items():
-            merged.setdefault(token, []).extend(positions)
-    shard = _compile_shard_arrays(merged)
-    return shard.tokens, shard.token_offsets, shard.postings
-
-
 def get_source_index(source: DataSource, min_token_length: int) -> SourceTokenIndex:
     """The shared :class:`SourceTokenIndex` of ``source`` for ``min_token_length``.
 
@@ -1499,17 +925,3 @@ def get_source_index(source: DataSource, min_token_length: int) -> SourceTokenIn
         index = SourceTokenIndex(source, min_token_length)
         indexes[min_token_length] = index
     return index
-
-
-def _register_index_tasks() -> None:
-    """Register the built-in ``index.*`` tasks with the sweep runner.
-
-    Called lazily by ``repro.eval.runner.task_function`` (parent process and
-    pool workers alike) rather than at import time: ``repro.data`` imports
-    this module during package init, so a module-level runner import here
-    would re-enter the package cycle.
-    """
-    from repro.eval.runner import task_runner
-
-    task_runner("index.tokenize_chunk")(_tokenize_chunk_task)
-    task_runner("index.compile_shard")(_compile_shard_task)

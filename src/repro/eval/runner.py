@@ -235,49 +235,6 @@ def experiment_function(name: str) -> ExperimentFunction:
         ) from exc
 
 
-# ------------------------------------------------------------------ plain tasks
-
-#: A plain data-parallel task body: one JSON/pickle-compatible payload in, one
-#: result out.  Unlike experiments, tasks need no harness — they are the
-#: substrate for library-internal fan-out such as the sharded parallel index
-#: build of :mod:`repro.data.indexing`.
-TaskFunction = Callable[[object], object]
-
-_TASKS: dict[str, TaskFunction] = {}
-
-
-def task_runner(name: str) -> Callable[[TaskFunction], TaskFunction]:
-    """Register ``function`` as the body of task ``name``.
-
-    The same registration-by-name contract as :func:`experiment_runner`:
-    worker processes receive only ``(name, payload)`` and resolve the function
-    locally, so nothing but picklable data crosses the process boundary.
-    """
-
-    def register(function: TaskFunction) -> TaskFunction:
-        _TASKS[name] = function
-        return function
-
-    return register
-
-
-def task_function(name: str) -> TaskFunction:
-    """The registered body for task ``name`` (importing the built-ins)."""
-    if name not in _TASKS:
-        from repro.data import indexing
-
-        indexing._register_index_tasks()
-    try:
-        return _TASKS[name]
-    except KeyError as exc:
-        raise EvaluationError(f"unknown task {name!r}; registered: {sorted(_TASKS)}") from exc
-
-
-def _run_task(name: str, payload: object) -> object:
-    """Worker-side task entry point (resolves the body by name)."""
-    return task_function(name)(payload)
-
-
 # -------------------------------------------------------------- unit execution
 
 
@@ -665,77 +622,6 @@ class SweepRunner:
         experiments = result.manifest()["experiments"] or ["run"]
         stem = self.store.path.with_suffix("")
         return stem.with_name(f"{stem.name}.{'+'.join(experiments)}.manifest.json")
-
-    def map_tasks(self, name: str, payloads: Iterable[object]) -> list[object]:
-        """Run registered task ``name`` over ``payloads`` through the executor.
-
-        Results come back **in payload order** regardless of executor, so a
-        caller can fan a deterministic decomposition out (chunks of a record
-        table, shards of an index) and zip the results straight back.  Tasks
-        are assumed pure data-in/data-out: the ``processes`` executor pickles
-        ``(name, payload)`` to each worker and the registered function is
-        resolved worker-side (see :func:`task_runner`), exactly the contract
-        experiment units follow.
-        """
-        items = list(payloads)
-        if not items:
-            return []
-        if self.executor == "serial" or len(items) == 1:
-            function = task_function(name)
-            return [function(payload) for payload in items]
-        width = self._pool_width(len(items))
-        if self.executor == "threads":
-            function = task_function(name)
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                return list(pool.map(function, items))
-        return self._map_tasks_processes(name, items, width)
-
-    def _map_tasks_processes(self, name: str, items: list[object], width: int) -> list[object]:
-        """Process-pool task fan-out surviving worker crashes (payload order).
-
-        The same respawn-and-requeue loop as :meth:`_execute_processes`:
-        a broken pool requeues the affected payloads into a fresh pool,
-        bounded by the retry budget per payload.  Task-body exceptions (as
-        opposed to crashes) propagate unchanged — tasks have no transient /
-        permanent split; their callers treat any raise as fatal.
-        """
-        results: list[object] = [None] * len(items)
-        queue = list(range(len(items)))
-        requeues: dict[int, int] = {}
-        crash_budget = self._retry_budget() + 1
-        while queue:
-            pool = ProcessPoolExecutor(max_workers=min(width, len(queue)))
-            futures = {
-                pool.submit(_run_task, name, items[position]): position for position in queue
-            }
-            queue = []
-            broken = False
-            try:
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        position = futures[future]
-                        try:
-                            results[position] = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            count = requeues.get(position, 0) + 1
-                            requeues[position] = count
-                            if count >= crash_budget:
-                                raise EvaluationError(
-                                    f"task {name!r} payload {position} crashed its "
-                                    f"worker {count} time(s); giving up"
-                                ) from None
-                            queue.append(position)
-            finally:
-                # wait=True: a detached management thread races the atexit
-                # wakeup hook (EBADF at interpreter exit); a broken pool
-                # joins promptly, its workers are already dead.
-                pool.shutdown(wait=True, cancel_futures=True)
-            if broken:
-                self._worker_crashes += 1
-        return results
 
     # ------------------------------------------------------------- executors
 

@@ -15,8 +15,7 @@ Scopes instrumented across the library:
 ``checkpoint.append``     one checkpoint-store JSONL append
 ``artifact.write``        one atomic artifact write (text or npz)
 ``engine.batch``          one model ``predict_proba`` invocation
-``index.compiled``        one compiled-tier index traversal
-``index.dict``            one dict-tier index traversal
+``index.dict``            one dict-walk top-k query (falls back to the scan)
 ``serve.request``         one explanation-service request execution
 ========================  ====================================================
 

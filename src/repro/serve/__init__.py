@@ -17,10 +17,17 @@ frontiers of concurrent requests into shared prediction batches**:
 Entry points: :class:`~repro.serve.service.ExplanationService` (async facade),
 :class:`~repro.serve.scheduler.FrontierScheduler` (cross-request batch
 coalescing, usable standalone), and the request/response dataclasses of
-:mod:`repro.serve.types`.  Explanations served this way are byte-identical to
-a direct :class:`~repro.certa.explainer.CertaExplainer` run: batch composition
-never changes a row-wise model's scores, and the explanation logic depends
-only on scores and the request seed.
+:mod:`repro.serve.types`.
+
+Coalescing changes which batch a pair is scored in, and nothing else: the
+explanation logic depends only on scores and the request seed.  For a
+batch-invariant model (one that scores each row on its own) served
+explanations are therefore byte-identical to a direct
+:class:`~repro.certa.explainer.CertaExplainer` run.  The bundled neural
+matchers are not batch-invariant: their matrix products round a row's score
+differently (by ~1e-16) depending on the rows batched around it, so their
+served and direct payloads agree once floats are rounded to 9 significant
+digits, not byte for byte.
 """
 
 from repro.serve.scheduler import BudgetedPredictor, FrontierScheduler

@@ -157,10 +157,11 @@ def explanation_payload(explanation: "CertaExplanation") -> dict:
     the counterfactual, flip/triangle counts and per-set sufficiency.  The
     volatile diagnostics (engine/featurizer/index counter deltas) are
     deliberately excluded — they depend on what the shared caches already
-    held, so they differ between a served run and a direct run even though
-    the explanation itself is byte-identical.  ``json.dumps(payload,
+    held, so they differ between a served run and a direct run even when
+    the explanation itself is the same.  ``json.dumps(payload,
     sort_keys=True)`` of two equal explanations is therefore equal bytes —
-    the golden-identity comparison the serve tests and benchmark use.
+    the golden-identity comparison the serve tests and benchmark use (after
+    rounding floats, for a matcher whose scores depend on batch composition).
     """
     counterfactual = explanation.counterfactual
     examples = [

@@ -16,8 +16,8 @@ deadline overruns, a ``SIGKILL``-ed process-pool worker (pool respawn +
 requeue), a real subprocess killed mid-checkpoint-append (torn-line resume),
 corrupted artifact bytes (quarantine + rebuild), ``ENOSPC`` during artifact
 writes (degrade-to-memory), flaky model invocations (retry + poison-row
-bisection) and compiled/dict index-traversal failures (tier degradation down
-to the reference scan).
+bisection) and dict-walk index failures (degradation to the reference
+scan).
 
 ``REPRO_CHAOS_SEED`` shifts the harness and fuzz seeds so the CI matrix runs
 the suite under several fixed seeds without any test-code changes.
@@ -39,7 +39,7 @@ import pytest
 
 from repro import env, faults
 from repro.data.artifacts import ArtifactStore, write_atomic_npz, write_atomic_text
-from repro.data.blocking import token_blocking, top_k_neighbours
+from repro.data.blocking import top_k_neighbours
 from repro.data.indexing import _TOKEN_SET_CACHE, get_source_index
 from repro.eval.harness import ExperimentHarness, HarnessConfig
 from repro.eval.runner import (
@@ -311,34 +311,19 @@ class TestEngineChaos:
 
 
 class TestIndexDegradation:
-    def test_compiled_fault_falls_back_to_dict_byte_equal(self):
+    def test_dict_fault_falls_back_to_scan_byte_equal(self):
         left, right = toy_sources()
         query = right.get("R0")
         reference = _scan_ids(query, left)
-        faults.install_plan(plan(FaultRule(scope="index.compiled", times=1)))
+        faults.install_plan(plan(FaultRule(scope="index.dict", times=1)))
         index = get_source_index(left, 2)
-        degraded = [r.record_id for r in index.top_k(query, k=None, tiered=True)]
+        degraded = [r.record_id for r in index.top_k(query, k=None)]
         assert degraded == reference
         assert index.degraded_queries == 1
         assert index.stats.as_dict()["index_degraded_queries"] == 1
-
-    def test_double_fault_falls_back_to_scan_byte_equal(self):
-        left, right = toy_sources()
-        query = right.get("R0")
-        reference = _scan_ids(query, left)
-        faults.install_plan(
-            plan(
-                FaultRule(scope="index.compiled", times=1),
-                FaultRule(scope="index.dict", times=1),
-            )
-        )
-        index = get_source_index(left, 2)
-        degraded = [r.record_id for r in index.top_k(query, k=None, tiered=True)]
-        assert degraded == reference
-        assert index.degraded_queries == 2
-        # The next query runs fault-free and serves from the fast tier again.
+        # The next query runs fault-free and serves from the dict walk again.
         assert [r.record_id for r in index.top_k(query, k=3)] == reference[:3]
-        assert index.degraded_queries == 2
+        assert index.degraded_queries == 1
 
     def test_bounded_k_and_exclusions_survive_degradation(self):
         left, right = toy_sources()
@@ -348,56 +333,10 @@ class TestIndexDegradation:
             r.record_id
             for r in top_k_neighbours(query, list(left), k=3, exclude_ids=exclude, indexed=False)
         ]
-        faults.install_plan(
-            plan(
-                FaultRule(scope="index.compiled", times=0),
-                FaultRule(scope="index.dict", times=0),
-            )
-        )
+        faults.install_plan(plan(FaultRule(scope="index.dict", times=0)))
         index = get_source_index(left, 2)
-        result = [r.record_id for r in index.top_k(query, k=3, exclude_ids=exclude, tiered=True)]
+        result = [r.record_id for r in index.top_k(query, k=3, exclude_ids=exclude)]
         assert result == reference
-
-    def test_posting_items_degrades_at_entry(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        left, right = _fresh_sources(store)
-        get_source_index(left, 2).top_k(right.get("R0"), k=3)  # persist the index
-
-        left2, _ = _fresh_sources(store)
-        _TOKEN_SET_CACHE.clear()
-        index = get_source_index(left2, 2)
-        index.ensure_fresh()
-        assert index._postings is None  # warm load: dict representation deferred
-        reference = {token: sorted(ids) for token, ids in index.posting_items()}
-        faults.install_plan(plan(FaultRule(scope="index.compiled", times=1)))
-        degraded = {token: sorted(ids) for token, ids in index.posting_items()}
-        assert degraded == reference
-        assert index.degraded_queries == 1
-
-    def test_ids_sharing_tokens_degrades_at_entry(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        left, right = _fresh_sources(store)
-        index = get_source_index(left, 2)
-        tokens = list(index.token_set(left.ids()[0]))
-        reference = index.ids_sharing_tokens(tokens)
-        faults.install_plan(plan(FaultRule(scope="index.compiled", times=0)))
-        left2, _ = _fresh_sources(store)
-        _TOKEN_SET_CACHE.clear()
-        warm = get_source_index(left2, 2)
-        warm.ensure_fresh()
-        degraded = warm.ids_sharing_tokens(iter(tokens))  # one-shot iterable
-        assert degraded == reference
-
-    def test_blocking_stays_byte_equal_under_compiled_faults(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        left, right = _fresh_sources(store)
-        reference = token_blocking(left, right, indexed=True)
-
-        left2, right2 = _fresh_sources(store)
-        _TOKEN_SET_CACHE.clear()
-        faults.install_plan(plan(FaultRule(scope="index.compiled", times=0)))
-        degraded = token_blocking(left2, right2, indexed=True)
-        assert degraded.pairs == reference.pairs
 
 
 # ----------------------------------------------------------------- sweep runner
@@ -512,16 +451,16 @@ class TestChaosFuzz:
 
     ``_run_sequence`` asserts indexed == scan equivalence after every
     mutation; running it with injected traversal and model faults proves the
-    degradation tiers preserve those equivalences mid-lifecycle, not just on
-    a quiescent index.
+    fallbacks preserve those equivalences mid-lifecycle, not just on a
+    quiescent index.
     """
 
     @pytest.mark.parametrize("seed", [CHAOS_SEED * 10 + offset for offset in range(3)])
     def test_fuzz_sequences_survive_traversal_faults(self, seed):
         faults.install_plan(
             plan(
-                FaultRule(scope="index.compiled", step=2, times=3),
-                FaultRule(scope="index.dict", step=5, times=2),
+                FaultRule(scope="index.dict", step=2, times=3),
+                FaultRule(scope="index.dict", step=8, times=2),
             )
         )
         _run_sequence(seed)

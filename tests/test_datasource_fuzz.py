@@ -87,11 +87,6 @@ def _assert_ranking_equivalence(source: DataSource, queries) -> None:
             indexed = top_k_neighbours(query, source, k=k, indexed=True)
             scanned = top_k_neighbours(query, list(source), k=k, indexed=False)
             assert [r.record_id for r in indexed] == [r.record_id for r in scanned]
-            # The compiled tiered ranker must track every mutation too: forcing
-            # tiered=True after the mutation exercises dirty-shard recompiles
-            # and must stay byte-equal to the dict walk and the scan.
-            tiered = top_k_neighbours(query, source, k=k, indexed=True, tiered=True)
-            assert [r.record_id for r in tiered] == [r.record_id for r in scanned]
 
 
 def _assert_blocking_equivalence(left: DataSource, right: DataSource) -> None:

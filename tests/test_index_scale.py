@@ -1,19 +1,16 @@
-"""Property suite for the compiled (numpy CSR) index tier and sharded builds.
+"""Property suite for the token index at scale: index == scan on hostile sources.
 
-The tiered approximate-then-exact ranker of
-:meth:`repro.data.indexing.SourceTokenIndex.top_k` is an *implementation*
-choice, never a result choice: for every query it must return byte-identical
-rankings to the dict-walk traversal (``tiered=False``) and to the full-scan
-golden reference (``indexed=False``).  This suite drives all three paths over
-seeded random sources — including unicode-heavy records and records whose
-text yields no blocking tokens at all — plus exclusion sets, ``k=None`` and
-``k`` larger than the source.
+:meth:`repro.data.indexing.SourceTokenIndex.top_k` must return rankings
+byte-identical to the full-scan golden reference (``indexed=False``) for
+every query.  This suite drives both paths over seeded random sources —
+including unicode-heavy records and records whose text yields no blocking
+tokens at all — plus exclusion sets, ``k=None`` and ``k`` larger than the
+source.
 
-It also covers the satellite machinery the compiled tier rides on: the
-deterministic streaming generator :func:`iter_synthetic_records`, chunked
-:meth:`DataSource.from_iterable`, the batched delta replay, parallel sharded
-builds through :class:`~repro.eval.runner.SweepRunner` (serial, threads and
-processes), and memory-mapped npz artifact loads.
+It also covers the machinery large sources rely on: the deterministic
+streaming generator :func:`iter_synthetic_records`, chunked
+:meth:`DataSource.from_iterable`, the batched delta replay, the shard key of
+the npz artifact layout, and memory-mapped npz warm loads.
 """
 
 from __future__ import annotations
@@ -31,19 +28,11 @@ from repro.data.artifacts import (
     token_shard,
 )
 from repro.data.blocking import top_k_neighbours
-from repro.data.indexing import (
-    COMPILED_MIN_RECORDS,
-    SourceTokenIndex,
-    build_sharded_index,
-    get_source_index,
-)
+from repro.data.indexing import SourceTokenIndex, get_source_index
 from repro.data.records import Record, Schema
 from repro.data.synthetic import iter_synthetic_records, synthetic_schema
 from repro.data.table import DataSource
-from repro.eval.runner import SweepRunner
 from repro.exceptions import DatasetError
-
-from tests.helpers import make_record
 
 _SCHEMA = Schema.from_names(["name", "description", "price"])
 
@@ -79,7 +68,7 @@ def _ids(records) -> list[str]:
 
 
 class TestTieredEqualsExactEqualsScan:
-    """The tiered ranker never diverges from the dict walk or the scan."""
+    """The index ranking never diverges from the scan reference."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_randomised_sources(self, seed):
@@ -98,10 +87,8 @@ class TestTieredEqualsExactEqualsScan:
                 scanned = top_k_neighbours(
                     query, list(source), k=k, exclude_ids=exclude, indexed=False
                 )
-                exact = index.top_k(query, k=k, exclude_ids=exclude, tiered=False)
-                tiered = index.top_k(query, k=k, exclude_ids=exclude, tiered=True)
-                assert _ids(exact) == _ids(scanned)
-                assert _ids(tiered) == _ids(scanned)
+                ranked = index.top_k(query, k=k, exclude_ids=exclude)
+                assert _ids(ranked) == _ids(scanned)
 
     def test_empty_token_query(self):
         rng = random.Random(7)
@@ -111,19 +98,8 @@ class TestTieredEqualsExactEqualsScan:
             "Q-empty", {"name": "!", "description": "", "price": "1"}, _SCHEMA, source="U"
         )
         for k in (2, None):
-            assert _ids(index.top_k(query, k=k, tiered=True)) == _ids(
-                index.top_k(query, k=k, tiered=False)
-            )
-
-    def test_auto_routing_prefers_dict_below_threshold(self):
-        rng = random.Random(11)
-        source = _random_source(rng, 20)
-        index = get_source_index(source, 2)
-        assert len(source) < COMPILED_MIN_RECORDS
-        index.top_k(_random_record(rng, "Q"), k=3)
-        assert index._compiled is None  # auto stays on the dict walk at small scale
-        index.top_k(_random_record(rng, "Q2"), k=3, tiered=True)
-        assert index._compiled is not None  # explicit tiered=True compiles on demand
+            scanned = top_k_neighbours(query, list(source), k=k, indexed=False)
+            assert _ids(index.top_k(query, k=k)) == _ids(scanned)
 
 
 class TestStreamingGenerator:
@@ -173,8 +149,7 @@ class TestBatchedReplay:
                 source.remove(rng.choice(ids))
         query = _random_record(rng, "Q-replay")
         scanned = top_k_neighbours(query, list(source), k=None, indexed=False)
-        assert _ids(index.top_k(query, tiered=False)) == _ids(scanned)
-        assert _ids(index.top_k(query, tiered=True)) == _ids(scanned)
+        assert _ids(index.top_k(query)) == _ids(scanned)
         assert index.stats.builds == 1  # served by replay, not rebuilds
         rebuilt = SourceTokenIndex(source, 2)
         rebuilt.ensure_fresh()
@@ -182,37 +157,9 @@ class TestBatchedReplay:
 
 
 class TestShardedBuild:
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_build_matches_lazy_index(self, executor):
-        schema = synthetic_schema()
-        source = DataSource.from_iterable(
-            f"sharded-{executor}", schema, iter_synthetic_records(150, seed=1)
-        )
-        runner = SweepRunner(executor=executor, max_workers=2)
-        sharded = build_sharded_index(source, runner=runner, chunk_count=4)
-        reference = SourceTokenIndex(source, 2)
-        reference.ensure_fresh()
-        assert sharded.canonical_state() == reference.canonical_state()
-        query = next(iter(source))
-        assert _ids(sharded.top_k(query, k=10)) == _ids(reference.top_k(query, k=10, tiered=False))
-
-    def test_sharded_index_absorbs_mutations(self):
-        schema = synthetic_schema()
-        source = DataSource.from_iterable(
-            "sharded-mut", schema, iter_synthetic_records(80, seed=2)
-        )
-        index = build_sharded_index(source, chunk_count=3)
-        source.remove(next(iter(source)).record_id)
-        extra = next(iter(iter_synthetic_records(1, seed=99, id_prefix="X")))
-        source.add(extra)
-        query = next(iter(iter_synthetic_records(1, seed=17, id_prefix="Q")))
-        scanned = top_k_neighbours(query, list(source), k=None, indexed=False)
-        assert _ids(index.top_k(query, tiered=True)) == _ids(scanned)
-        assert index.stats.builds == 1
-
     def test_token_shard_is_process_stable(self):
-        # crc32, not hash(): the same token must land on the same shard in
-        # every worker process regardless of PYTHONHASHSEED.
+        # crc32, not hash(): the npz layout groups tokens by this key, so it
+        # must agree across processes regardless of PYTHONHASHSEED.
         for token in ("sony", "日本語テスト", "café"):
             shard = token_shard(token, DEFAULT_INDEX_SHARDS)
             assert 0 <= shard < DEFAULT_INDEX_SHARDS
@@ -244,14 +191,18 @@ class TestNpzArtifacts:
         records = list(iter_synthetic_records(70, seed=12))
         cold_source = DataSource(name="npz-warm", schema=schema, records=records)
         cold_source.artifact_store = store
-        get_source_index(cold_source, 2).ensure_fresh()
+        cold = get_source_index(cold_source, 2)
+        cold.ensure_fresh()
 
         warm_source = DataSource(name="npz-warm", schema=schema, records=records)
         warm_source.artifact_store = store
         warm = get_source_index(warm_source, 2)
         warm.ensure_fresh()
         assert warm.stats.loads == 1 and warm.stats.builds == 0
-        query = records[3]
-        scanned = top_k_neighbours(query, records, k=5, indexed=False)
-        assert _ids(warm.top_k(query, k=5, tiered=True)) == _ids(scanned)
-        assert _ids(warm.top_k(query, k=5, tiered=False)) == _ids(scanned)
+        assert warm.canonical_state() == cold.canonical_state()
+        external = next(iter(iter_synthetic_records(1, seed=5, id_prefix="Q")))
+        for query in (records[3], records[40], external):
+            for k in (5, None):
+                scanned = top_k_neighbours(query, records, k=k, indexed=False)
+                assert _ids(warm.top_k(query, k=k)) == _ids(scanned)
+                assert _ids(cold.top_k(query, k=k)) == _ids(scanned)

@@ -1,11 +1,14 @@
 """The explanation service: golden concurrency, admission, budgets, chaos.
 
-The load-bearing guarantee is **byte-identity**: an explanation served
-through the full concurrent pipeline — admission queue, worker pool,
-cross-request frontier coalescing, shared engine cache — must serialise to
-exactly the bytes a direct single-threaded :class:`CertaExplainer` run
-produces, including while a :class:`repro.faults.FaultPlan` is throwing
-transient engine errors and ``ENOSPC`` at the stack.  Around that sit the
+The load-bearing guarantee is **byte-identity** for a batch-invariant
+matcher: an explanation served through the full concurrent pipeline —
+admission queue, worker pool, cross-request frontier coalescing, shared
+engine cache — must serialise to exactly the bytes a direct single-threaded
+:class:`CertaExplainer` run produces, including while a
+:class:`repro.faults.FaultPlan` is throwing transient engine errors and
+``ENOSPC`` at the stack.  A real neural matcher scores a row slightly
+differently depending on the batch around it, so with one the served and
+direct payloads must agree to 9 significant digits.  Around that sit the
 protocol tests: a full queue sheds with a clean
 :class:`~repro.exceptions.AdmissionError` (never a partial explanation),
 budget overruns fail whole with :class:`~repro.exceptions.BudgetError`, and
@@ -25,6 +28,8 @@ import pytest
 
 from repro import faults
 from repro.certa.explainer import CertaExplainer
+from repro.data.registry import benchmark_info
+from repro.data.synthetic import generate_dataset
 from repro.exceptions import (
     AdmissionError,
     BudgetError,
@@ -34,6 +39,7 @@ from repro.exceptions import (
 )
 from repro.faults import FaultPlan, FaultRule
 from repro.models.engine import PredictionEngine
+from repro.models.training import train_model
 from repro.serve import (
     BudgetedPredictor,
     ExplainRequest,
@@ -102,6 +108,17 @@ def direct_payloads(pairs) -> list[str]:
         )
         for p in pairs
     ]
+
+
+def rounded(value, digits: int = 9):
+    """``value`` with every float rounded to ``digits`` significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.{digits}g}")
+    if isinstance(value, dict):
+        return {key: rounded(item, digits) for key, item in value.items()}
+    if isinstance(value, list):
+        return [rounded(item, digits) for item in value]
+    return value
 
 
 def serve(target: ServeTarget, requests, **service_kwargs):
@@ -229,6 +246,36 @@ class TestGoldenConcurrency:
         assert stats.failed == 1
         with pytest.raises(ServeError):
             response.raise_for_status()
+
+
+class TestRealMatcher:
+    def test_served_payloads_match_direct_runs_to_nine_digits(self):
+        # deepmatcher's matrix products round a pair's score differently
+        # (by ~1e-16) in different batch compositions, and coalescing
+        # changes the batches.  A fresh dataset keeps the sealing the
+        # service does away from the session-shared one.
+        dataset = generate_dataset(benchmark_info("AB").config.scaled(0.5))
+        model = train_model("deepmatcher", dataset, fast=True, cache_predictions=False).model
+        test_pairs = list(dataset.test)
+        pairs = [p for p in test_pairs if p.label][:1] + [p for p in test_pairs if not p.label][:2]
+        explainer = CertaExplainer(
+            model, dataset.left, dataset.right, num_triangles=NUM_TRIANGLES, seed=SEED
+        )
+        expected = [
+            canonical(rounded(explanation_payload(explainer.explain_full(pair)))) for pair in pairs
+        ]
+        target = ServeTarget(
+            name="ab", model=model, left_source=dataset.left, right_source=dataset.right,
+            num_triangles=NUM_TRIANGLES, seed=SEED,
+        )
+        requests = [
+            ExplainRequest(target="ab", pair=pairs[i % 3], request_id=f"r{i}") for i in range(6)
+        ]
+        responses, stats, _ = serve(target, requests, workers=3, queue_limit=8)
+        assert [r.status for r in responses] == ["ok"] * 6
+        for i, response in enumerate(responses):
+            assert canonical(rounded(response.payload)) == expected[i % 3]
+        assert stats.merged_pairs > 0  # frontiers really were scored in shared batches
 
 
 # ---------------------------------------------------------- admission control

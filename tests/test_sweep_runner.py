@@ -271,83 +271,3 @@ class TestSweepResult:
     def test_failed_unit_names_the_cell(self, harness):
         with pytest.raises(EvaluationError, match="saliency/BA/classical/nope"):
             harness.saliency_rows(methods=("nope",))
-
-
-# ------------------------------------------------------------------- map_tasks
-
-from repro.eval.runner import task_runner  # noqa: E402
-
-
-@task_runner("test_square")
-def _square_task(payload):
-    return payload * payload
-
-
-@task_runner("test_fragile")
-def _fragile_task(payload):
-    if payload == "bad":
-        raise ValueError("poison payload reached the task body")
-    return payload.upper()
-
-
-@task_runner("test_crash_once")
-def _crash_once_task(payload):
-    """SIGKILL the hosting process the first time a marker can be claimed."""
-    import os as _os
-    import signal as _signal
-
-    try:
-        with open(payload, "x", encoding="utf-8"):
-            pass
-        _os.kill(_os.getpid(), _signal.SIGKILL)
-    except FileExistsError:
-        pass
-    return "survived"
-
-
-class TestMapTasks:
-    """Satellite: failure paths of ``SweepRunner.map_tasks`` per executor."""
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_results_in_payload_order(self, executor):
-        runner = SweepRunner(executor=executor, max_workers=2)
-        assert runner.map_tasks("test_square", [3, 1, 4, 1, 5]) == [9, 1, 16, 1, 25]
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_empty_payloads_return_empty(self, executor):
-        assert SweepRunner(executor=executor).map_tasks("test_square", []) == []
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_worker_exception_mid_shard_propagates(self, executor):
-        runner = SweepRunner(executor=executor, max_workers=2)
-        with pytest.raises(ValueError, match="poison payload"):
-            runner.map_tasks("test_fragile", ["ok", "bad", "fine"])
-
-    def test_pool_width_one_still_completes(self):
-        runner = SweepRunner(executor="threads", max_workers=1)
-        assert runner.map_tasks("test_square", [2, 3]) == [4, 9]
-        runner = SweepRunner(executor="processes", max_workers=1)
-        assert runner.map_tasks("test_square", [2, 3]) == [4, 9]
-
-    def test_unknown_task_name_rejected(self):
-        with pytest.raises(EvaluationError, match="unknown task"):
-            SweepRunner().map_tasks("test_never_registered", [1])
-
-    def test_crashed_worker_is_respawned_and_requeued(self, tmp_path):
-        runner = SweepRunner(executor="processes", max_workers=2, retries=2)
-        marker = str(tmp_path / "crash-marker")
-        results = runner.map_tasks("test_crash_once", [marker, marker])
-        assert results == ["survived", "survived"]
-        assert runner._worker_crashes >= 1
-
-    def test_deterministic_crasher_gives_up_with_a_permanent_error(self, tmp_path):
-        @task_runner("test_crash_always")
-        def _crash_always(payload):
-            import os as _os
-            import signal as _signal
-
-            _os.kill(_os.getpid(), _signal.SIGKILL)
-
-        runner = SweepRunner(executor="processes", max_workers=2, retries=1)
-        with pytest.raises(EvaluationError, match="crashed its worker"):
-            runner.map_tasks("test_crash_always", ["a", "b"])

@@ -73,7 +73,6 @@ class TestIndexStats:
             "index_queries": 2,
             "index_postings_visited": 3,
             "index_candidates_pruned": 4,
-            "index_bytes_resident": 0,
             "index_compile_ms": 0.0,
             "index_degraded_queries": 0,
         }
