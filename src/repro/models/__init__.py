@@ -1,8 +1,8 @@
 """ER matchers: the black boxes that CERTA and the baselines explain."""
 
-from repro.models.base import MATCH_THRESHOLD, ERModel, TrainingReport, pair_cache_key
+from repro.models.base import MATCH_THRESHOLD, ERModel, TrainingReport
 from repro.models.classical import ClassicalMatcher
-from repro.models.engine import EngineStats, PredictionEngine, as_engine
+from repro.models.engine import EngineStats, PredictionEngine, as_engine, pair_cache_key
 from repro.models.deeper import DeepERModel
 from repro.models.deepmatcher import DeepMatcherModel
 from repro.models.ditto import DittoModel

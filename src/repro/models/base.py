@@ -2,22 +2,24 @@
 
 Every explanation method in this library (CERTA and all baselines) treats the
 matcher as a black box exposing a single operation: *given a record pair,
-return a matching score in [0, 1]*.  :class:`ERModel` fixes that contract, adds
-prediction caching (explainers evaluate thousands of perturbed copies of the
-same few records) and provides the shared training loop used by the concrete
-DeepER / DeepMatcher / Ditto stand-ins.
+return a matching score in [0, 1]*.  :class:`ERModel` fixes that contract and
+provides the shared training loop used by the concrete DeepER / DeepMatcher /
+Ditto stand-ins.  A model does not memoise scores: explainers evaluate
+thousands of perturbed copies of the same few records through a
+:class:`~repro.models.engine.PredictionEngine`, the one score cache, and the
+model's featurizer caches the value and value-pair work below it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.data.dataset import PairSplit
-from repro.data.records import Record, RecordPair
+from repro.data.records import RecordPair
 from repro.exceptions import ModelError, NotFittedError
 from repro.models.featurizer import FeaturizerStats, PairFeaturizer
 from repro.models.metrics import classification_report
@@ -52,21 +54,13 @@ class TrainingReport:
         }
 
 
-def _record_key(record: Record) -> tuple:
-    return tuple(record.values.items())
-
-
-def pair_cache_key(pair: RecordPair) -> tuple:
-    """Content-based cache key for a record pair (ignores ids and labels)."""
-    return (_record_key(pair.left), _record_key(pair.right))
-
-
 class ERModel(ABC):
     """Abstract base class for binary ER matchers with probability outputs.
 
     Subclasses implement :meth:`_featurize_pair` (and optionally
     :meth:`_prepare`, called once before featurising the training set).  The
-    base class owns the MLP head, the training loop and prediction caching.
+    base class owns the MLP head and the training loop; scoring is
+    featurisation plus one forward pass, with no score cache.
     """
 
     name = "er-model"
@@ -78,7 +72,6 @@ class ERModel(ABC):
         learning_rate: float = 0.01,
         dropout: float = 0.0,
         seed: int = 0,
-        cache_predictions: bool = True,
         batched_featurization: bool = True,
     ) -> None:
         self.hidden_dims = tuple(hidden_dims)
@@ -86,10 +79,8 @@ class ERModel(ABC):
         self.learning_rate = learning_rate
         self.dropout = dropout
         self.seed = seed
-        self.cache_predictions = cache_predictions
         self.batched_featurization = batched_featurization
         self._classifier: MLPClassifier | None = None
-        self._cache: dict[tuple, float] = {}
         #: Set by subclasses that support batched, content-cached featurisation.
         self._featurizer: PairFeaturizer | None = None
         self.training_report: TrainingReport | None = None
@@ -181,7 +172,6 @@ class ERModel(ABC):
             validation=validation,
             patience=12,
         )
-        self._cache.clear()
         # Training values are mostly one-shot; dropping them keeps the
         # featurisation caches sized by the (small, repetitive) explanation
         # workload instead of the whole training set.
@@ -219,29 +209,15 @@ class ERModel(ABC):
     # --------------------------------------------------------------- prediction
 
     def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        """Matching scores in [0, 1] for each pair (cached by record content)."""
+        """Matching scores in [0, 1] for each pair: featurise, then one forward pass.
+
+        Every call scores every pair; wrap the model in a
+        :class:`~repro.models.engine.PredictionEngine` to memoise scores.
+        """
         classifier = self._require_fitted()
         if not pairs:
             return np.zeros(0, dtype=np.float64)
-        scores = np.zeros(len(pairs), dtype=np.float64)
-        to_compute: list[int] = []
-        keys: list[tuple | None] = []
-        for index, pair in enumerate(pairs):
-            key = pair_cache_key(pair) if self.cache_predictions else None
-            keys.append(key)
-            if key is not None and key in self._cache:
-                scores[index] = self._cache[key]
-            else:
-                to_compute.append(index)
-        if to_compute:
-            features = self.featurize([pairs[index] for index in to_compute])
-            computed = classifier.predict_proba(features)
-            for position, index in enumerate(to_compute):
-                scores[index] = computed[position]
-                key = keys[index]
-                if key is not None:
-                    self._cache[key] = float(computed[position])
-        return scores
+        return classifier.predict_proba(self.featurize(pairs))
 
     def predict_pair(self, pair: RecordPair) -> float:
         """Matching score of a single pair."""
@@ -256,14 +232,6 @@ class ERModel(ABC):
         return self.predict_pair(pair) > MATCH_THRESHOLD
 
     # ------------------------------------------------------------------ utility
-
-    def prediction_count(self) -> int:
-        """Number of distinct pair contents scored so far (cache size)."""
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        """Drop the prediction cache (used between experiments)."""
-        self._cache.clear()
 
     def evaluate(self, pairs: Sequence[RecordPair]) -> dict[str, float]:
         """Precision / recall / F1 / accuracy against ground-truth labels."""

@@ -12,9 +12,10 @@ optimisations behind the same prediction API as the model it wraps:
   to the model in chunks of at most ``batch_size`` pairs, so a frontier of
   hundreds of lattice nodes costs a handful of model invocations;
 * **memoisation** — scores are cached under a content key
-  (:func:`~repro.models.base.pair_cache_key`), so identical perturbed pairs
-  produced by different triangles, explainers or lattice levels are scored
-  exactly once;
+  (:func:`pair_cache_key`), so identical perturbed pairs produced by
+  different triangles, explainers or lattice levels are scored exactly once
+  (this is the library's only score cache; models score every pair they
+  are given);
 * **accounting** — :class:`EngineStats` counts requests, cache hits, cache
   misses and model invocations (``batches``), the numbers surfaced in the
   eval harness reports and ``benchmarks/bench_prediction_engine.py``.
@@ -46,9 +47,9 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro import env, faults
-from repro.data.records import RecordPair
+from repro.data.records import Record, RecordPair
 from repro.exceptions import ModelError, is_transient
-from repro.models.base import MATCH_THRESHOLD, pair_cache_key
+from repro.models.base import MATCH_THRESHOLD
 from repro.models.featurizer import FeaturizerStats
 
 #: Environment knob for the per-batch transient-retry budget (declared in
@@ -64,6 +65,15 @@ _RETRY_BACKOFF_SECONDS = 0.01
 def engine_retries() -> int:
     """Per-invocation transient-retry budget (``REPRO_ENGINE_RETRIES``)."""
     return max(0, env.read_int(ENGINE_RETRIES_ENV))
+
+
+def _record_key(record: Record) -> tuple:
+    return tuple(record.values.items())
+
+
+def pair_cache_key(pair: RecordPair) -> tuple:
+    """Content-based cache key for a record pair (ignores ids and labels)."""
+    return (_record_key(pair.left), _record_key(pair.right))
 
 
 class _InFlight:
@@ -172,34 +182,18 @@ class PredictionEngine:
         Maximum number of pairs per underlying model invocation.  Larger
         values amortise per-call overhead; the default suits the bundled
         numpy matchers.
-    cache:
-        When False the engine only batches: deduplication is disabled too, so
-        every request (including duplicates) reaches the model and is counted
-        as a miss — useful for measuring raw model cost.
-
-    Note on layering: a fitted :class:`~repro.models.base.ERModel` memoises
-    predictions itself (``cache_predictions=True``), so wrapping one stores
-    each score in both layers.  That is harmless but doubles the cache
-    memory; construct the model with ``cache_predictions=False`` (or the
-    engine with ``cache=False``) to keep a single layer.  The experiment
-    harness does exactly that: models trained through
-    :class:`~repro.models.training.ModelCache` are built with
-    ``cache_predictions=False`` because every explanation-path score goes
-    through an engine.
     """
 
     def __init__(
         self,
         model: SupportsPredictProba,
         batch_size: int = 256,
-        cache: bool = True,
         retries: int | None = None,
     ) -> None:
         if batch_size <= 0:
             raise ModelError(f"engine batch_size must be positive, got {batch_size}")
         self.model = model
         self.batch_size = batch_size
-        self.cache_enabled = cache
         self.retries = retries
         self._cache: dict[tuple, float] = {}
         self._stats = EngineStats()
@@ -259,8 +253,6 @@ class PredictionEngine:
         pairs = list(pairs)
         if not pairs:
             return np.zeros(0, dtype=np.float64)
-        if not self.cache_enabled:
-            return self._predict_uncached(pairs)
 
         scores = np.zeros(len(pairs), dtype=np.float64)
         pending, pending_pairs, waiting, hits = self._claim(pairs, scores)
@@ -294,24 +286,6 @@ class PredictionEngine:
         # cannot deadlock.
         self._await_claims(waiting, scores)
         return scores
-
-    def _predict_uncached(self, pairs: list[RecordPair]) -> np.ndarray:
-        """The ``cache=False`` path: batching only, every request its own miss."""
-        tally = {"batches": 0, "max_batch": 0, "retries": 0}
-        computed: list[float] = []
-        for start in range(0, len(pairs), self.batch_size):
-            chunk = pairs[start : start + self.batch_size]
-            computed.extend(self._model_scores(chunk, tally))
-        with self._lock:
-            self._stats = replace(
-                self._stats,
-                requests=self._stats.requests + len(pairs),
-                misses=self._stats.misses + len(pairs),
-                batches=self._stats.batches + tally["batches"],
-                max_batch=max(self._stats.max_batch, tally["max_batch"]),
-                retries=self._stats.retries + tally["retries"],
-            )
-        return np.asarray(computed, dtype=np.float64)
 
     def _claim(
         self, pairs: list[RecordPair], scores: np.ndarray

@@ -10,14 +10,13 @@ pairs.  This module is the featurisation counterpart of
 :class:`~repro.models.engine.PredictionEngine`:
 
 * **value interning** — every distinct attribute-value string is processed
-  once per process (:class:`~repro.text.interning.ValueFeatureCache`): token
+  once per featurizer (:class:`~repro.text.interning.ValueFeatureCache`): token
   list/set, q-grams, hashed embedding, hashing-vectorizer vector;
 * **pairwise-comparison caching** — the 7-dim comparison vector and the
   composite attribute similarity are memoised per ``(left_value,
-  right_value)`` (:class:`PairComparisonCache`), with the Levenshtein /
-  Monge-Elkan cores memoised process-wide
-  (:func:`~repro.text.similarity.memoized_levenshtein_similarity`,
-  :func:`~repro.text.similarity.memoized_monge_elkan`);
+  right_value)`` (:class:`PairComparisonCache`), and under them the
+  Levenshtein, Jaro-Winkler and Monge-Elkan cores, whose keys (edit
+  prefixes, tokens, token tuples) repeat across distinct value pairs;
 * **batched assembly** — one featurizer per matcher family composes feature
   matrices from the cached artifacts with numpy stacking
   (:class:`RecordPairFeaturizer` for DeepER, :class:`AttributePairFeaturizer`
@@ -37,6 +36,7 @@ calls, in the same order, so batched and naive featurisation produce
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,8 +46,9 @@ from repro.models.features import aligned_attribute_pairs, serialize_pair
 from repro.text.interning import ValueFeatureCache, ValueFeatures
 from repro.text.similarity import (
     jaccard,
-    memoized_levenshtein_similarity,
-    memoized_monge_elkan,
+    jaro_winkler,
+    levenshtein_similarity,
+    monge_elkan,
     overlap_coefficient,
     parsed_numeric_similarity,
 )
@@ -132,11 +133,16 @@ class PairComparisonCache:
     Serves byte-identical replacements for
     :func:`repro.models.features.attribute_comparison_vector` and
     :func:`repro.text.similarity.attribute_similarity`, built from interned
-    :class:`~repro.text.interning.ValueFeatures` and the process-wide
-    memoised Levenshtein / Monge-Elkan cores.  ``attribute_similarity`` is
-    symmetric in its components, so its key is order-normalised; the
+    :class:`~repro.text.interning.ValueFeatures`.  ``attribute_similarity``
+    is symmetric in its components, so its key is order-normalised; the
     comparison vector (whose empty flags and Monge-Elkan part are
     directional) is keyed exactly.  Cached arrays are shared — read-only.
+
+    Under the stores sit bounded LRU memos of the similarity cores, whose
+    keys recur across value pairs the stores keep apart: :attr:`levenshtein`
+    (edit prefixes), :attr:`jaro_winkler` (tokens) and :attr:`monge_elkan`
+    (token tuples, via :attr:`jaro_winkler`).  :meth:`clear` empties them,
+    pickling drops them, and :meth:`size` does not count them.
     """
 
     def __init__(self, values: ValueFeatureCache) -> None:
@@ -146,6 +152,24 @@ class PairComparisonCache:
         self._composed: dict[tuple[str, str], np.ndarray] = {}
         self.hits = 0
         self.misses = 0
+        self._build_memos()
+
+    def _build_memos(self) -> None:
+        self.levenshtein = lru_cache(maxsize=1 << 18)(levenshtein_similarity)
+        self.jaro_winkler = lru_cache(maxsize=1 << 18)(jaro_winkler)
+        self.monge_elkan = lru_cache(maxsize=1 << 17)(
+            partial(monge_elkan, token_similarity=self.jaro_winkler)
+        )
+
+    def __getstate__(self) -> dict:
+        """Pickle state without the memos (``lru_cache`` wrappers do not pickle)."""
+        state = dict(self.__dict__)
+        del state["levenshtein"], state["jaro_winkler"], state["monge_elkan"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_memos()
 
     def comparison_vector(self, left: str, right: str) -> np.ndarray:
         """The 7-dim per-attribute comparison vector (cached, read-only)."""
@@ -161,8 +185,8 @@ class PairComparisonCache:
             [
                 jaccard(left_features.token_set, right_features.token_set),
                 overlap_coefficient(left_features.token_set, right_features.token_set),
-                memoized_levenshtein_similarity(left_features.truncated, right_features.truncated),
-                memoized_monge_elkan(left_features.me_tokens, right_features.me_tokens),
+                self.levenshtein(left_features.truncated, right_features.truncated),
+                self.monge_elkan(left_features.me_tokens, right_features.me_tokens),
                 _numeric_similarity(left_features, right_features),
                 1.0 if not left else 0.0,
                 1.0 if not right else 0.0,
@@ -189,7 +213,7 @@ class PairComparisonCache:
             right_features = self.values.features(right)
             token_part = jaccard(left_features.token_set, right_features.token_set)
             qgram_part = jaccard(left_features.qgram_set, right_features.qgram_set)
-            edit_part = memoized_levenshtein_similarity(left_features.truncated, right_features.truncated)
+            edit_part = self.levenshtein(left_features.truncated, right_features.truncated)
             result = (token_part + qgram_part + edit_part) / 3.0
         self._similarities[key] = result
         return result
@@ -266,7 +290,8 @@ class PairComparisonCache:
         left every live record, so one scan per store removes all keys with a
         retired member.  Like :meth:`ValueFeatureCache.evict
         <repro.text.interning.ValueFeatureCache.evict>` this can only cause
-        recomputation, never different results.
+        recomputation, never different results.  The memos are keyed by
+        prefixes and tokens, not values, so their LRU bound retires them.
         """
         retired = set(values)
         if not retired:
@@ -280,14 +305,17 @@ class PairComparisonCache:
         return dropped
 
     def size(self) -> int:
-        """Total number of cached pairwise entries."""
+        """Total number of cached pairwise entries (the memos not counted)."""
         return len(self._vectors) + len(self._similarities) + len(self._composed)
 
     def clear(self) -> None:
-        """Drop all cached comparisons (counters are left intact)."""
+        """Drop all cached comparisons and memos (counters are left intact)."""
         self._vectors.clear()
         self._similarities.clear()
         self._composed.clear()
+        self.levenshtein.cache_clear()
+        self.jaro_winkler.cache_clear()
+        self.monge_elkan.cache_clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (cached comparisons are left intact)."""

@@ -68,15 +68,12 @@ def train_model(
 
     ``fast=True`` reduces the number of epochs, which benchmarks use when the
     point of the experiment is the explainer rather than matcher quality.
-    ``cache_predictions=False`` disables the model's own score memoisation —
-    the right construction when the fitted model will be wrapped in a
-    :class:`~repro.models.engine.PredictionEngine`, so each score is cached
-    in exactly one layer.
+    ``cache_predictions`` is accepted and ignored, so callers written when
+    models memoised their own scores keep working: scores are memoised only
+    by a :class:`~repro.models.engine.PredictionEngine`.
     """
     if fast and "epochs" not in overrides:
         overrides["epochs"] = 35
-    if cache_predictions is not None and "cache_predictions" not in overrides:
-        overrides["cache_predictions"] = cache_predictions
     model = make_model(model_name, **overrides)
     report = model.fit(dataset.train, dataset.valid)
     test_metrics = model.evaluate(dataset.test.pairs) if len(dataset.test) else {}
@@ -102,12 +99,6 @@ class ModelCache:
     workers don't share the cache at all — each builds its own (training is
     deterministic, so worker-trained matchers score identically).
 
-    Models are constructed with ``cache_predictions=False`` by default: the
-    harness and explainers route every explanation-path score through a
-    :class:`~repro.models.engine.PredictionEngine`, so memoising in the model
-    as well would store each score twice (the layering issue flagged in the
-    engine docstring).
-
     With an :class:`~repro.data.artifacts.ArtifactStore` attached (explicitly
     or via ``REPRO_ARTIFACT_DIR``), a matcher trained in *any* earlier
     process on byte-identical inputs — validated through
@@ -120,7 +111,6 @@ class ModelCache:
     """
 
     fast: bool = True
-    cache_predictions: bool = False
     artifact_store: ArtifactStore | None = None
     _cache: dict[tuple[str, str, bool], TrainedModel] = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
@@ -168,9 +158,7 @@ class ModelCache:
                 store.model_loads += 1
                 return loaded
             store.model_misses += 1
-        trained = train_model(
-            model_name, dataset, fast=self.fast, cache_predictions=self.cache_predictions
-        )
+        trained = train_model(model_name, dataset, fast=self.fast)
         if store is not None:
             self._save_trained(store, trained, model_name, digest)
         return trained
@@ -191,7 +179,7 @@ class ModelCache:
         if metadata is None:
             return None
         try:
-            model = load_model(directory, cache_predictions=self.cache_predictions)
+            model = load_model(directory)
             report = TrainingReport(**metadata["report"])
             test_metrics = {
                 str(name): float(value) for name, value in metadata["test_metrics"].items()

@@ -11,9 +11,6 @@ from repro.text.similarity import (
     jaro_winkler,
     levenshtein_distance,
     levenshtein_similarity,
-    memoized_jaro_winkler,
-    memoized_levenshtein_similarity,
-    memoized_monge_elkan,
     monge_elkan,
     numeric_similarity,
     overlap_coefficient,
@@ -48,9 +45,6 @@ __all__ = [
     "jaro_winkler",
     "levenshtein_distance",
     "levenshtein_similarity",
-    "memoized_jaro_winkler",
-    "memoized_levenshtein_similarity",
-    "memoized_monge_elkan",
     "monge_elkan",
     "numeric_similarity",
     "overlap_coefficient",

@@ -5,7 +5,7 @@ records: the pivot record of an open triangle never changes and the free
 record differs from its original by a token subset, so the *distinct attribute
 values* crossing the featurisation layer number in the dozens while the value
 comparisons number in the tens of thousands.  :class:`ValueFeatureCache`
-interns every distinct value string exactly once per process and hands out its
+interns every distinct value string exactly once per cache and hands out its
 derived artifacts — token list/set, character q-grams, the truncated form used
 by edit-distance features, the parsed numeric value, plus (when providers are
 attached) the hashed embedding and hashing-vectorizer vector.

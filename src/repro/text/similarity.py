@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from repro.text.tokenize import qgrams, tokenize
@@ -149,8 +148,9 @@ def monge_elkan(
 ) -> float:
     """Monge-Elkan similarity: average best Jaro-Winkler match per left token.
 
-    ``token_similarity`` exists so the memoised wrapper can reuse this loop
-    with a cached token comparator instead of duplicating it.
+    ``token_similarity`` lets
+    :class:`~repro.models.featurizer.PairComparisonCache` reuse this loop
+    with its memoised Jaro-Winkler instead of duplicating it.
     """
     if not left_tokens and not right_tokens:
         return 1.0
@@ -160,36 +160,6 @@ def monge_elkan(
     for left_token in left_tokens:
         total += max(token_similarity(left_token, right_token) for right_token in right_tokens)
     return total / len(left_tokens)
-
-
-@lru_cache(maxsize=1 << 18)
-def memoized_levenshtein_similarity(left: str, right: str) -> float:
-    """Memoised :func:`levenshtein_similarity` (same values, O(1) on repeats).
-
-    The edit-distance dynamic program is the O(n^2) core of
-    :func:`attribute_similarity` and of the matchers' comparison features;
-    perturbation workloads compare the same value pairs over and over, so the
-    content-cached featurisation layer routes through this wrapper.  The cache
-    is process-wide and bounded (least-recently-used eviction).
-    """
-    return levenshtein_similarity(left, right)
-
-
-@lru_cache(maxsize=1 << 18)
-def memoized_jaro_winkler(left: str, right: str) -> float:
-    """Memoised :func:`jaro_winkler` over single tokens (same values)."""
-    return jaro_winkler(left, right)
-
-
-@lru_cache(maxsize=1 << 17)
-def memoized_monge_elkan(left_tokens: tuple[str, ...], right_tokens: tuple[str, ...]) -> float:
-    """Memoised :func:`monge_elkan` over token tuples.
-
-    Two cache layers over the one shared loop: the whole token-tuple pair,
-    and each token-level Jaro-Winkler comparison via
-    :func:`memoized_jaro_winkler`.
-    """
-    return monge_elkan(left_tokens, right_tokens, token_similarity=memoized_jaro_winkler)
 
 
 def qgram_similarity(left: str, right: str, q: int = 3) -> float:

@@ -9,8 +9,8 @@ for the layer above:
   identical CERTA explanations end-to-end;
 * **interning** — every distinct value string is processed once, pairwise
   comparisons are memoised (symmetric-key for the composite similarity), and
-  the memoised Levenshtein / Monge-Elkan cores agree with the plain
-  functions;
+  each featurizer's own Levenshtein / Monge-Elkan memos agree with the plain
+  functions and empty with its other caches;
 * **accounting** — :class:`~repro.models.featurizer.FeaturizerStats`
   arithmetic, the hit/miss counters, and their surfacing through
   :class:`~repro.models.engine.PredictionEngine` and
@@ -31,13 +31,7 @@ from repro.models.features import attribute_comparison_vector
 from repro.models.featurizer import FeaturizerStats, PairComparisonCache
 from repro.models.training import make_model
 from repro.text.interning import ValueFeatureCache, ValueFeatures
-from repro.text.similarity import (
-    attribute_similarity,
-    levenshtein_similarity,
-    memoized_levenshtein_similarity,
-    memoized_monge_elkan,
-    monge_elkan,
-)
+from repro.text.similarity import attribute_similarity, levenshtein_similarity, monge_elkan
 
 from tests.helpers import SimilarityModel, toy_pairs, toy_sources
 
@@ -116,7 +110,6 @@ class TestGoldenEquivalence:
         assert pairs
 
         def explain(batched_featurization: bool):
-            model.clear_cache()
             model.clear_featurizer_cache()
             model.batched_featurization = batched_featurization
             explainer = CertaExplainer(
@@ -235,15 +228,45 @@ class TestComparisonCache:
 class TestMemoizedCores:
     @pytest.mark.parametrize("left,right", VALUE_PAIRS)
     def test_levenshtein_core_agrees(self, left, right):
-        assert memoized_levenshtein_similarity(left, right) == levenshtein_similarity(left, right)
+        memo = PairComparisonCache(ValueFeatureCache()).levenshtein
+        expected = levenshtein_similarity(left, right)
+        assert memo(left, right) == memo(left, right) == expected
+        assert memo.cache_info().hits == 1
 
     @pytest.mark.parametrize("left,right", VALUE_PAIRS)
     def test_monge_elkan_core_agrees(self, left, right):
         left_tokens = tuple(left.split()[:12])
         right_tokens = tuple(right.split()[:12])
-        assert memoized_monge_elkan(left_tokens, right_tokens) == monge_elkan(
-            list(left_tokens), list(right_tokens)
-        )
+        memo = PairComparisonCache(ValueFeatureCache()).monge_elkan
+        expected = monge_elkan(list(left_tokens), list(right_tokens))
+        assert memo(left_tokens, right_tokens) == memo(left_tokens, right_tokens) == expected
+        assert memo.cache_info().hits == 1
+
+
+class TestMemoOwnership:
+    """Each featurizer owns its similarity memos; nothing is process-wide."""
+
+    @staticmethod
+    def memo_infos(model):
+        comparisons = model._featurizer.comparisons
+        memos = (comparisons.levenshtein, comparisons.jaro_winkler, comparisons.monge_elkan)
+        return [memo.cache_info() for memo in memos]
+
+    def test_clear_featurizer_cache_empties_the_memos(self, workload):
+        model = make_model("classical")
+        model.featurize(workload)
+        assert all(info.currsize > 0 for info in self.memo_infos(model))
+        model.clear_featurizer_cache()
+        assert [info.currsize for info in self.memo_infos(model)] == [0, 0, 0]
+
+    def test_two_models_share_no_memo_entries(self, workload):
+        warm = make_model("classical")
+        warm.featurize(workload)
+        cold = make_model("classical")
+        assert [info.currsize for info in self.memo_infos(cold)] == [0, 0, 0]
+        cold.featurize(workload)
+        # The second model computes every core itself: same traffic, same misses.
+        assert self.memo_infos(cold) == self.memo_infos(warm)
 
 
 # ------------------------------------------------------------------ accounting
@@ -318,7 +341,8 @@ class TestFeaturizerStats:
         stats = explanation.featurizer_stats
         assert stats is not None
         assert stats.value_hits + stats.value_misses >= 0
-        assert stats.rows_built <= explanation.engine_stats.misses
+        # The engine is the only score cache: each miss is featurised once.
+        assert stats.rows_built == explanation.engine_stats.misses
 
     def test_certa_explanation_without_featurizer_is_none(self, sources, match_pair):
         left, right = sources

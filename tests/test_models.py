@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import PairSplit
 from repro.exceptions import ModelError, NotFittedError
-from repro.models.base import MATCH_THRESHOLD, pair_cache_key
+from repro.models.base import MATCH_THRESHOLD
 from repro.models.classical import ClassicalMatcher
 from repro.models.deeper import DeepERModel
 from repro.models.deepmatcher import DeepMatcherModel
 from repro.models.ditto import DittoModel
+from repro.models.engine import pair_cache_key
 from repro.models.features import (
     aligned_attribute_pairs,
     attribute_comparison_vector,
@@ -105,15 +108,6 @@ class TestModelTrainingApi:
         non_match = dataset.train.negatives()[-1]
         assert model.predict_pair(match) > model.predict_pair(non_match)
 
-    def test_prediction_cache_grows_and_clears(self, trained_toy_models):
-        dataset, trained = trained_toy_models
-        model = trained["classical"]
-        model.clear_cache()
-        model.predict_proba(dataset.test.pairs)
-        assert model.prediction_count() > 0
-        model.clear_cache()
-        assert model.prediction_count() == 0
-
     def test_cache_key_ignores_record_ids(self, match_pair):
         renamed = match_pair.with_left(
             match_pair.left.replace_values({}, suffix="-renamed")
@@ -195,6 +189,16 @@ class TestPersistence:
         restored = load_model(directory)
         pairs = ab_dataset.test.pairs[:10]
         assert np.allclose(model.predict_proba(pairs), restored.predict_proba(pairs), atol=1e-9)
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_pickle_round_trip_scores_identically(self, name):
+        dataset = toy_dataset()
+        model = make_model(name, epochs=5)
+        model.fit(dataset.train, dataset.valid)
+        pairs = dataset.test.pairs
+        scores = model.predict_proba(pairs)  # warms the featurizer and its memos
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone.predict_proba(pairs).tobytes() == scores.tobytes()
 
     def test_save_unfitted_model_raises(self, tmp_path):
         with pytest.raises(NotFittedError):

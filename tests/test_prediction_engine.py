@@ -164,16 +164,6 @@ class TestEngineCache:
         assert engine.stats.batches == 3
         assert engine.stats.max_batch == 3
 
-    def test_cache_disabled_means_every_request_misses(self, match_pair):
-        counting = CountingModel()
-        engine = PredictionEngine(counting, cache=False)
-        engine.predict_pair(match_pair)
-        engine.predict_proba([match_pair, match_pair])  # in-call duplicates too
-        assert engine.stats.misses == 3
-        assert engine.stats.hits == 0
-        assert counting.pairs_scored == 3
-        assert engine.cache_size() == 0
-
     def test_clear_cache_and_reset_stats_are_independent(self, match_pair):
         engine = PredictionEngine(SimilarityModel())
         engine.predict_pair(match_pair)
@@ -239,16 +229,6 @@ class TestEngineStats:
     def test_hit_rate_values(self):
         assert EngineStats(requests=4, hits=3, misses=1).hit_rate == 0.75
         assert EngineStats(requests=4, hits=0, misses=4).hit_rate == 0.0
-
-    def test_invariant_holds_without_cache(self, labelled_pairs, match_pair):
-        """hits + misses == requests even when caching (and dedup) is off."""
-        engine = PredictionEngine(SimilarityModel(), cache=False)
-        engine.predict_proba(labelled_pairs)
-        engine.predict_proba([match_pair] * 4)  # duplicates all count as misses
-        stats = engine.stats
-        assert stats.hits == 0
-        assert stats.misses == stats.requests == len(labelled_pairs) + 4
-        assert stats.hit_rate == 0.0
 
     def test_invariant_holds_across_snapshots(self, labelled_pairs):
         engine = PredictionEngine(SimilarityModel(), batch_size=4)

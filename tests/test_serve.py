@@ -255,7 +255,7 @@ class TestRealMatcher:
         # changes the batches.  A fresh dataset keeps the sealing the
         # service does away from the session-shared one.
         dataset = generate_dataset(benchmark_info("AB").config.scaled(0.5))
-        model = train_model("deepmatcher", dataset, fast=True, cache_predictions=False).model
+        model = train_model("deepmatcher", dataset, fast=True).model
         test_pairs = list(dataset.test)
         pairs = [p for p in test_pairs if p.label][:1] + [p for p in test_pairs if not p.label][:2]
         explainer = CertaExplainer(
