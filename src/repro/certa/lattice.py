@@ -75,12 +75,45 @@ class ExplorationStats:
         return self.expected_predictions - self.performed_predictions
 
 
+#: Node keys per attribute tuple, shared by every lattice over that tuple.
+#: An explanation's ``sufficiency_by_set`` keeps its lattices' keys, so
+#: private keys would cost each retained explanation one frozenset per entry.
+#: A plain dict rather than ``functools.lru_cache``: benchmark cold starts
+#: empty every library ``cache_clear``, which would make the keys private
+#: again.  It holds attribute-name subsets only, nothing a matcher decides.
+_NODE_KEYS: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
+
+#: Schemas :data:`_NODE_KEYS` holds before it is emptied.
+_NODE_KEY_SCHEMAS = 32
+
+
+def _node_keys(attributes: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    """The non-empty subsets of ``attributes``, by size then combination order."""
+    keys = _NODE_KEYS.get(attributes)
+    if keys is None:
+        if len(_NODE_KEYS) >= _NODE_KEY_SCHEMAS:
+            _NODE_KEYS.clear()
+        keys = tuple(
+            frozenset(subset)
+            for size in range(1, len(attributes) + 1)
+            for subset in combinations(attributes, size)
+        )
+        # Two threads building a schema's first lattice at once compute equal
+        # tuples; ``setdefault`` hands both the one stored first.
+        keys = _NODE_KEYS.setdefault(attributes, keys)
+    return keys
+
+
 class AttributeLattice:
     """Powerset lattice over the attributes of one record schema.
 
     The empty set is excluded (perturbing nothing can never flip); the full
     attribute set is included and tagged, but Equation 3 excludes it from the
     counterfactual argmax, which :meth:`candidate_sets` honours.
+
+    The node keys (attribute frozensets) are shared with every lattice over
+    the same attribute tuple; the :class:`LatticeNode` objects, whose flip
+    tags belong to one triangle, are this lattice's own.
     """
 
     def __init__(self, attributes: Sequence[str]) -> None:
@@ -90,11 +123,9 @@ class AttributeLattice:
         if len(set(attributes)) != len(attributes):
             raise LatticeError(f"duplicate attributes in lattice: {attributes}")
         self.attributes = tuple(attributes)
-        self._nodes: dict[frozenset[str], LatticeNode] = {}
-        for size in range(1, len(attributes) + 1):
-            for subset in combinations(attributes, size):
-                key = frozenset(subset)
-                self._nodes[key] = LatticeNode(attributes=key)
+        self._nodes: dict[frozenset[str], LatticeNode] = {
+            key: LatticeNode(attributes=key) for key in _node_keys(self.attributes)
+        }
 
     # ------------------------------------------------------------------ access
 

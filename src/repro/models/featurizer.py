@@ -4,7 +4,7 @@ CERTA-style explanation workloads featurise thousands of perturbed copies of
 the same few record pairs: the pivot record of an open triangle never changes
 and the free record differs from its original by a token subset.  The naive
 path (:meth:`~repro.models.base.ERModel._featurize_pair`, one pair at a time)
-re-tokenises, re-embeds and re-runs the O(n^2) edit-distance and Monge-Elkan
+re-tokenises, re-embeds and re-runs the edit-distance and Monge-Elkan
 comparisons on attribute values that are identical across nearly all of those
 pairs.  This module is the featurisation counterpart of
 :class:`~repro.models.engine.PredictionEngine`:

@@ -60,23 +60,46 @@ def cosine_tokens(left: Iterable[str], right: Iterable[str]) -> float:
 
 
 def levenshtein_distance(left: str, right: str) -> int:
-    """Plain Levenshtein edit distance with a two-row dynamic program."""
+    """Levenshtein edit distance by Myers' bit-parallel algorithm.
+
+    Hyyrö's edit-distance form (2001) of Myers (JACM 1999): one column of the
+    dynamic program over the longer string is held as vertical +1/-1 delta bit
+    vectors, advanced one character of the shorter string per step with a
+    handful of word operations.  Python ints are the bit vectors, so the
+    result is exact at any length; columns up to 64 characters (the
+    featurizer's edit prefix) fit one machine word.  ``tests/test_similarity``
+    checks it against the textbook two-row dynamic program.
+    """
     if left == right:
         return 0
-    if not left:
-        return len(right)
+    if len(left) < len(right):
+        left, right = right, left
     if not right:
         return len(left)
-    previous = list(range(len(right) + 1))
-    for i, left_char in enumerate(left, start=1):
-        current = [i]
-        for j, right_char in enumerate(right, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            replace_cost = previous[j - 1] + (left_char != right_char)
-            current.append(min(insert_cost, delete_cost, replace_cost))
-        previous = current
-    return previous[-1]
+    # Bit i of masks[c] is set where left[i] == c.
+    masks: dict[str, int] = {}
+    bit = 1
+    for char in left:
+        masks[char] = masks.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    distance = len(left)
+    positive, negative = full, 0
+    for char in right:
+        equal = masks.get(char, 0)
+        diagonal = (((equal & positive) + positive) ^ positive) | equal | negative
+        horizontal_positive = negative | ~(diagonal | positive)
+        horizontal_negative = diagonal & positive
+        if horizontal_positive & last:
+            distance += 1
+        elif horizontal_negative & last:
+            distance -= 1
+        # Row 0 of the program is 0, 1, 2, ...: every step shifts in a +1.
+        horizontal_positive = (horizontal_positive << 1) | 1
+        positive = ((horizontal_negative << 1) | ~(diagonal | horizontal_positive)) & full
+        negative = horizontal_positive & diagonal
+    return distance
 
 
 def levenshtein_similarity(left: str, right: str) -> float:

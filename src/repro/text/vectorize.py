@@ -38,16 +38,20 @@ class HashingVectorizer:
     n_features: int = 512
     seed: int = 0
     use_signs: bool = True
+    #: token -> (bucket, sign), so each distinct token is hashed once.
+    _buckets: dict[str, tuple[int, float]] = field(default_factory=dict, repr=False, compare=False)
 
     def transform_text(self, text: str) -> np.ndarray:
         """Vectorise one text fragment into a dense ``n_features`` vector."""
         vector = np.zeros(self.n_features, dtype=np.float64)
+        buckets = self._buckets
         for token in tokenize(text):
-            bucket_hash = stable_token_hash(token, seed=self.seed)
-            bucket = bucket_hash % self.n_features
-            sign = 1.0
-            if self.use_signs and (bucket_hash >> 32) % 2 == 1:
-                sign = -1.0
+            entry = buckets.get(token)
+            if entry is None:
+                bucket_hash = stable_token_hash(token, seed=self.seed)
+                sign = -1.0 if self.use_signs and (bucket_hash >> 32) % 2 == 1 else 1.0
+                entry = buckets[token] = (bucket_hash % self.n_features, sign)
+            bucket, sign = entry
             vector[bucket] += sign
         norm = np.linalg.norm(vector)
         if norm > 0:

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.certa.explainer import CertaExplainer
 from repro.certa.lattice import (
     AttributeLattice,
     explore_lattice,
     monotonicity_violations,
 )
+from repro.data.registry import load_benchmark
 from repro.exceptions import LatticeError
+from repro.models.training import train_model
 
 
 class TestLatticeConstruction:
@@ -48,6 +51,36 @@ class TestLatticeConstruction:
         lattice = AttributeLattice(["a", "b"])
         assert ["a", "b"] in lattice
         assert ["c"] not in lattice
+
+
+class TestSharedNodeKeys:
+    """Lattices over one attribute tuple share key frozensets, never nodes."""
+
+    def test_lattices_share_key_objects_but_not_nodes(self):
+        first = AttributeLattice(["title", "brand", "price"])
+        second = AttributeLattice(["title", "brand", "price"])
+        for node in first.nodes():
+            twin = second.node(node.attributes)
+            assert twin.attributes is node.attributes
+            assert twin is not node
+        first.tag(["title"], True)
+        first.propagate_flip(["title"])
+        assert first.node(["title", "price"]).flip is True
+        assert not any(node.tagged for node in second.nodes())
+
+    def test_cold_explanations_share_sufficiency_keys(self):
+        dataset = load_benchmark("IA", scale=0.5)
+        model = train_model("deepmatcher", dataset, fast=True).model
+        explanations = []
+        for pair in list(dataset.test.pairs)[:2]:
+            model.clear_featurizer_cache()
+            explainer = CertaExplainer(model, dataset.left, dataset.right, num_triangles=4)
+            explanations.append(explainer.explain_full(pair))
+        first, second = (explanation.sufficiency_by_set for explanation in explanations)
+        first_keys = {attributes: attributes for _side, attributes in first}
+        shared = [attributes for _side, attributes in second if attributes in first_keys]
+        assert shared
+        assert all(first_keys[attributes] is attributes for attributes in shared)
 
 
 class TestTaggingAndPropagation:

@@ -25,6 +25,55 @@ from repro.text.similarity import (
 short_text = st.text(alphabet="abcdef 0123", min_size=0, max_size=20)
 token_lists = st.lists(st.sampled_from(["sony", "bravia", "black", "micro", "canon", "10"]), max_size=6)
 
+# Tiny alphabets (one with a combining accent and an astral emoji) make
+# strings share characters and align; the last allows any code point.
+edit_alphabets = st.sampled_from(
+    [
+        st.sampled_from("ab"),
+        st.sampled_from("e\u0301\U0001F600"),
+        st.sampled_from("ab e\u0301\u00e9\U0001F600"),
+        st.characters(),
+    ]
+)
+
+
+@st.composite
+def edit_pairs(draw):
+    """Two strings of 0-200 code points: independent, equal, spliced or rotated."""
+    chars = draw(edit_alphabets)
+    size = draw(st.integers(min_value=0, max_value=200))
+    left = draw(st.text(alphabet=chars, min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["independent", "equal", "spliced", "rotated"]))
+    if kind == "equal":
+        return left, left
+    if kind == "independent":
+        return left, draw(st.text(alphabet=chars, max_size=200))
+    start = draw(st.integers(min_value=0, max_value=len(left)))
+    if kind == "rotated":
+        return left, left[start:] + left[:start]
+    end = draw(st.integers(min_value=start, max_value=len(left)))
+    return left, left[:start] + draw(st.text(alphabet=chars, max_size=8)) + left[end:]
+
+
+def dp_levenshtein_distance(left: str, right: str) -> int:
+    """The textbook two-row dynamic program: the oracle for the bit-parallel kernel."""
+    if left == right:
+        return 0
+    if not left:
+        return len(right)
+    if not right:
+        return len(left)
+    previous = list(range(len(right) + 1))
+    for i, left_char in enumerate(left, start=1):
+        current = [i]
+        for j, right_char in enumerate(right, start=1):
+            insert_cost = current[j - 1] + 1
+            delete_cost = previous[j] + 1
+            replace_cost = previous[j - 1] + (left_char != right_char)
+            current.append(min(insert_cost, delete_cost, replace_cost))
+        previous = current
+    return previous[-1]
+
 
 class TestSetSimilarities:
     def test_jaccard_identical(self):
@@ -82,6 +131,29 @@ class TestEditDistances:
         assert distance == levenshtein_distance(right, left)
         assert distance >= abs(len(left) - len(right))
         assert distance <= max(len(left), len(right))
+
+    @pytest.mark.parametrize(
+        "left,right,expected",
+        [
+            ("a" * 64, "a" * 63 + "b", 1),
+            ("ab" * 40, "ba" * 40, 2),
+            ("x" * 200, "", 200),
+            ("e\u0301cole", "\u00e9cole", 2),
+            ("\U0001F600" * 70, "\U0001F600" * 65 + "a", 5),
+        ],
+    )
+    def test_levenshtein_known_values_across_word_boundaries(self, left, right, expected):
+        assert levenshtein_distance(left, right) == expected == dp_levenshtein_distance(left, right)
+
+    @given(edit_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_levenshtein_matches_the_dp_oracle(self, pair):
+        left, right = pair
+        expected = dp_levenshtein_distance(left, right)
+        assert levenshtein_distance(left, right) == expected
+        assert levenshtein_distance(right, left) == expected
+        longest = max(len(left), len(right))
+        assert levenshtein_similarity(left, right) == (1.0 - expected / longest if longest else 1.0)
 
 
 class TestJaro:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import NotFittedError
 from repro.text.embeddings import HashedEmbeddings
+from repro.text.tokenize import tokenize
 from repro.text.vectorize import (
     HashingVectorizer,
     TfIdfVectorizer,
@@ -25,6 +30,10 @@ class TestStableHash:
 
     def test_hash_differs_across_tokens(self):
         assert stable_token_hash("sony") != stable_token_hash("canon")
+
+
+# Shared characters (an accent, an astral emoji) so tokens repeat, plus any code point.
+unicode_chars = st.one_of(st.sampled_from("ab \u00e9\U0001F600"), st.characters())
 
 
 class TestHashingVectorizer:
@@ -55,6 +64,46 @@ class TestHashingVectorizer:
     def test_transform_empty_list(self):
         vectorizer = HashingVectorizer(n_features=32)
         assert vectorizer.transform([]).shape == (0, 32)
+
+    @staticmethod
+    def md5_transform_text(vectorizer: HashingVectorizer, text: str) -> np.ndarray:
+        """The reference loop: every token hashed with md5 on every call."""
+        vector = np.zeros(vectorizer.n_features, dtype=np.float64)
+        for token in tokenize(text):
+            bucket_hash = stable_token_hash(token, seed=vectorizer.seed)
+            bucket = bucket_hash % vectorizer.n_features
+            sign = 1.0
+            if vectorizer.use_signs and (bucket_hash >> 32) % 2 == 1:
+                sign = -1.0
+            vector[bucket] += sign
+        norm = np.linalg.norm(vector)
+        if norm > 0:
+            vector /= norm
+        return vector
+
+    @given(
+        st.lists(st.text(alphabet=unicode_chars, max_size=40), max_size=6),
+        st.booleans(),
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_interned_buckets_match_the_md5_loop_bit_for_bit(self, texts, use_signs, n_features):
+        vectorizer = HashingVectorizer(n_features=n_features, seed=5, use_signs=use_signs)
+        for text in texts + texts:  # the second pass reads the token table
+            expected = self.md5_transform_text(vectorizer, text)
+            assert vectorizer.transform_text(text).tobytes() == expected.tobytes()
+
+    def test_token_table_leaves_pickle_equality_and_repr_alone(self):
+        vectorizer = HashingVectorizer(n_features=64, seed=3)
+        fresh_repr = repr(vectorizer)
+        vector = vectorizer.transform_text("sony bravia theater sony")
+        assert fresh_repr == "HashingVectorizer(n_features=64, seed=3, use_signs=True)"
+        assert repr(vectorizer) == fresh_repr
+        assert vectorizer == HashingVectorizer(n_features=64, seed=3)
+        assert vectorizer != HashingVectorizer(n_features=64, seed=4)
+        restored = pickle.loads(pickle.dumps(vectorizer))
+        assert restored == vectorizer
+        assert restored.transform_text("sony bravia theater sony").tobytes() == vector.tobytes()
 
 
 class TestTfIdfVectorizer:
