@@ -7,8 +7,9 @@ this benchmark measures how much cheaper each remaining invocation's
 comparisons memoised (``repro.models.featurizer``).
 
 The workload is lattice-style — one pivot record, many token-subset
-perturbations of the free record — exactly the shape CERTA's open-triangle
-exploration sends through ``featurize``.  Results (per-model and overall
+perturbations of the free record, with the free record on the left and then
+on the right — exactly the shape CERTA's open-triangle exploration sends
+through ``featurize``.  Results (per-model and overall
 speedup, cache hit rates, byte-identity of the matrices) are written to
 ``BENCH_featurization.json`` at the repository root so the perf trajectory
 stays machine-readable across PRs.  ``REPRO_BENCH_FAST=1`` shrinks the
@@ -32,7 +33,7 @@ from benchmarks.conftest import run_once
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_featurization.json"
-MODEL_NAMES = ("deeper", "deepmatcher", "ditto")
+MODEL_NAMES = ("deeper", "deepmatcher", "ditto", "classical")
 
 
 def _fast_mode() -> bool:
@@ -40,7 +41,7 @@ def _fast_mode() -> bool:
 
 
 def _lattice_workload() -> list:
-    """One pivot, many token-subset perturbations per support record."""
+    """One pivot, many token-subset perturbations per support record, per side."""
     fast = _fast_mode()
     dataset = load_benchmark("AB", scale=0.25)
     base_pairs = dataset.test.pairs[: 3 if fast else 4]
@@ -48,14 +49,16 @@ def _lattice_workload() -> list:
     pairs = []
     for pair in base_pairs:
         pairs.append(pair)
-        supports = [
-            record for record in dataset.left if record.record_id != pair.left.record_id
-        ][:supports_per_pair]
-        attributes = list(pair.left.attribute_names())
-        for support in supports:
-            for size in range(1, len(attributes) + 1):
-                for subset in itertools.combinations(attributes, size):
-                    pairs.append(perturbed_pair(pair, "left", support, frozenset(subset)))
+        for side, source in (("left", dataset.left), ("right", dataset.right)):
+            free = getattr(pair, side)
+            supports = [
+                record for record in source if record.record_id != free.record_id
+            ][:supports_per_pair]
+            attributes = list(free.attribute_names())
+            for support in supports:
+                for size in range(1, len(attributes) + 1):
+                    for subset in itertools.combinations(attributes, size):
+                        pairs.append(perturbed_pair(pair, side, support, frozenset(subset)))
     return pairs
 
 
@@ -67,8 +70,8 @@ def test_featurization_speedup(benchmark, results_dir):
         report = {}
         for name in MODEL_NAMES:
             # Fresh model per arm: every cache (value interning, pairwise
-            # comparisons, token embeddings, Levenshtein / Jaro-Winkler /
-            # Monge-Elkan memos) belongs to it and starts cold.
+            # comparisons, token embeddings, the Jaro-Winkler memo) belongs
+            # to it and starts cold.
             batched_model = make_model(name)
             start = time.perf_counter()
             batched_matrix = batched_model.featurize(pairs)
@@ -100,7 +103,7 @@ def test_featurization_speedup(benchmark, results_dir):
             "dataset": "AB",
             "rows": len(pairs),
             "fast": _fast_mode(),
-            "shape": "lattice-style: one pivot, token-subset perturbations of the free record",
+            "shape": "lattice-style: one pivot, token-subset perturbations of the free record, on either side",
         },
         "models": per_model,
         "overall": {

@@ -41,6 +41,25 @@ from repro.certa.lattice import (
 from repro.certa.perturbation import perturbed_pair
 from repro.certa.triangles import OpenTriangle, TriangleSearchResult, find_open_triangles
 
+#: ``(side, attributes)`` keys of ``sufficiency_by_set``, shared by every
+#: explanation as the lattices share the frozensets inside them
+#: (``repro.certa.lattice._node_keys``): a retained explanation then holds
+#: no key tuple of its own.  Emptied once it holds
+#: :data:`_SUFFICIENCY_KEY_LIMIT` keys.
+_SUFFICIENCY_KEYS: dict[tuple[str, frozenset[str]], tuple[str, frozenset[str]]] = {}
+_SUFFICIENCY_KEY_LIMIT = 1 << 12
+
+
+def _sufficiency_key(side: str, attributes: frozenset[str]) -> tuple[str, frozenset[str]]:
+    """The shared ``(side, attributes)`` tuple."""
+    key = (side, attributes)
+    shared = _SUFFICIENCY_KEYS.get(key)
+    if shared is None:
+        if len(_SUFFICIENCY_KEYS) >= _SUFFICIENCY_KEY_LIMIT:
+            _SUFFICIENCY_KEYS.clear()
+        shared = _SUFFICIENCY_KEYS.setdefault(key, key)
+    return shared
+
 
 @dataclass
 class CertaExplanation:
@@ -292,7 +311,7 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
                     name = prefixed_attribute(triangle.side, attribute)
                     necessity[name] = necessity.get(name, 0) + 1
                 if node.attributes in candidate_sets:
-                    key = (triangle.side, node.attributes)
+                    key = _sufficiency_key(triangle.side, node.attributes)
                     sufficiency[key] = sufficiency.get(key, 0) + 1
                     flipping_triangles.setdefault(key, []).append(triangle)
 
@@ -312,10 +331,13 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
 
         # Probability of sufficiency per attribute set (Equation 2), normalised
         # by the number of triangles on the same side as in the worked example.
+        # Entries share one float object per distinct value (a retained
+        # explanation's ~200 entries take a handful of values).
         sufficiency_probability: dict[tuple[str, frozenset[str]], float] = {}
-        for (side, attributes), count in sufficiency.items():
-            denominator = triangles_by_side[side] or 1
-            sufficiency_probability[(side, attributes)] = count / denominator
+        probabilities: dict[float, float] = {}
+        for key, count in sufficiency.items():
+            probability = count / (triangles_by_side[key[0]] or 1)
+            sufficiency_probability[key] = probabilities.setdefault(probability, probability)
 
         # Golden attribute set A* (Equation 3): max sufficiency, then smallest set.
         best_key: tuple[str, frozenset[str]] | None = None

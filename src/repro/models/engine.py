@@ -80,13 +80,15 @@ class _InFlight:
     """One uncached pair content currently being scored by some thread.
 
     The claiming thread publishes ``score`` (or ``error``) and sets the
-    event; waiting threads block on the event and read the outcome.
+    event; waiting threads block on the event and read the outcome.  The
+    event is created, under the engine lock, by the first thread that waits:
+    an uncontended claim allocates none.
     """
 
     __slots__ = ("event", "score", "error")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self.event: threading.Event | None = None
         self.score: float | None = None
         self.error: BaseException | None = None
 
@@ -333,6 +335,8 @@ class PredictionEngine:
                         continue
                     entry = self._inflight.get(key)
                     if entry is not None:
+                        if entry.event is None:
+                            entry.event = threading.Event()
                         waiting[key] = (entry, [index])
                         hits += 1  # served by another thread's invocation
                         continue
@@ -353,7 +357,8 @@ class PredictionEngine:
                 entry = self._inflight.pop(key, None)
                 if entry is not None:
                     entry.score = score
-                    entry.event.set()
+                    if entry.event is not None:
+                        entry.event.set()
 
     def _abort_claims(self, pending: dict[tuple, list[int]], error: BaseException) -> None:
         """Release claims after a failed model invocation, carrying the error."""
@@ -362,7 +367,8 @@ class PredictionEngine:
                 entry = self._inflight.pop(key, None)
                 if entry is not None:
                     entry.error = error
-                    entry.event.set()
+                    if entry.event is not None:
+                        entry.event.set()
 
     def _await_claims(
         self, waiting: dict[tuple, tuple[_InFlight, list[int]]], scores: np.ndarray

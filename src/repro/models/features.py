@@ -13,6 +13,7 @@ architectural differences of the original systems:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -38,17 +39,12 @@ def aligned_attribute_pairs(pair: RecordPair) -> list[tuple[str, str, str, str]]
     schema are paired with an empty value, so the feature width stays fixed for
     a given dataset.
     """
-    left_names = list(pair.left.attribute_names())
-    right_names = list(pair.right.attribute_names())
-    width = max(len(left_names), len(right_names))
-    aligned = []
-    for index in range(width):
-        left_name = left_names[index] if index < len(left_names) else ""
-        right_name = right_names[index] if index < len(right_names) else ""
-        left_value = pair.left.value(left_name) if left_name else ""
-        right_value = pair.right.value(right_name) if right_name else ""
-        aligned.append((left_name, right_name, left_value, right_value))
-    return aligned
+    return [
+        (left_name, right_name, left_value, right_value)
+        for (left_name, left_value), (right_name, right_value) in zip_longest(
+            pair.left.values.items(), pair.right.values.items(), fillvalue=("", "")
+        )
+    ]
 
 
 def attribute_comparison_vector(left_value: str, right_value: str) -> np.ndarray:

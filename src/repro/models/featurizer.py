@@ -12,31 +12,41 @@ pairs.  This module is the featurisation counterpart of
 * **value interning** — every distinct attribute-value string is processed
   once per featurizer (:class:`~repro.text.interning.ValueFeatureCache`): token
   list/set, q-grams, hashed embedding, hashing-vectorizer vector;
-* **pairwise-comparison caching** — the 7-dim comparison vector and the
-  composite attribute similarity are memoised per ``(left_value,
-  right_value)`` (:class:`PairComparisonCache`), and under them the
-  Levenshtein, Jaro-Winkler and Monge-Elkan cores, whose keys (edit
-  prefixes, tokens, token tuples) repeat across distinct value pairs;
+* **pairwise-comparison caching, computed per pivot** — the 7-dim
+  comparison vector and the composite attribute similarity are memoised per
+  ``(left_value, right_value)`` (:class:`PairComparisonCache`), looked up a
+  batch at a time.  A batch's misses that share one string (a lattice
+  batch's pivot record, or a pivot attribute value) are computed together:
+  the edit distances of all the free prefixes in one packed bit-parallel
+  sweep along the pivot's prefix, and Monge-Elkan from one Jaro-Winkler
+  matrix of the pivot's tokens against the union of the free tokens.  Only
+  the Jaro-Winkler core keeps a memo, because token pairs recur across
+  pivots;
 * **batched assembly** — one featurizer per matcher family composes feature
-  matrices from the cached artifacts with numpy stacking
-  (:class:`RecordPairFeaturizer` for DeepER, :class:`AttributePairFeaturizer`
-  for DeepMatcher, :class:`SerializedPairFeaturizer` for Ditto,
+  matrices from the cached artifacts with numpy stacking, column by column
+  where the family has per-attribute blocks (:class:`RecordPairFeaturizer`
+  for DeepER, :class:`AttributePairFeaturizer` for DeepMatcher,
+  :class:`SerializedPairFeaturizer` for Ditto,
   :class:`ComparisonPairFeaturizer` for the classical baseline);
 * **accounting** — :class:`FeaturizerStats` counts value and comparison cache
   traffic plus rows built, surfaced through
-  ``PredictionEngine.featurizer_stats`` and the eval-harness reports.
+  ``PredictionEngine.featurizer_stats`` and the eval-harness reports.  A
+  batch lookup counts exactly what a loop of single lookups would.
 
-Every cached artifact is computed by the exact same functions the naive path
-calls, in the same order, so batched and naive featurisation produce
-**byte-identical** feature matrices — the golden equivalence asserted by
+Every cached artifact equals what the naive path computes, bit for bit: the
+grouped kernels are exact (integer edit distances, ``max`` over the same
+Jaro-Winkler values, Monge-Elkan totals added with sequential ``+=`` in the
+same order), so batched and naive featurisation produce **byte-identical**
+feature matrices — the golden equivalence asserted by
 ``tests/test_featurizer.py`` and re-checked continuously by
 ``benchmarks/bench_featurization.py``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,8 +57,8 @@ from repro.text.interning import ValueFeatureCache, ValueFeatures
 from repro.text.similarity import (
     jaccard,
     jaro_winkler,
-    levenshtein_similarity,
-    monge_elkan,
+    levenshtein_similarities,
+    monge_elkan_grouped,
     overlap_coefficient,
     parsed_numeric_similarity,
 )
@@ -127,6 +137,27 @@ def _numeric_similarity(left: ValueFeatures, right: ValueFeatures) -> float:
     return parsed_numeric_similarity(left.numeric, right.numeric)
 
 
+PairKey = tuple[str, str]
+
+
+def _pivot_groups(keys: list[PairKey]) -> dict[tuple[bool, str], list[PairKey]]:
+    """``keys`` grouped by a shared string: ``{(pivot_left, pivot): keys}``.
+
+    A key joins the group of its left string when that string is the left of
+    at least as many keys as its right string is the right of, else the
+    group of its right string.  A lattice batch pairs one pivot record with
+    many perturbed free records, so its record-level keys form one group.
+    """
+    lefts = Counter(left for left, _ in keys)
+    rights = Counter(right for _, right in keys)
+    groups: dict[tuple[bool, str], list[PairKey]] = {}
+    for key in keys:
+        left, right = key
+        group = (True, left) if lefts[left] >= rights[right] else (False, right)
+        groups.setdefault(group, []).append(key)
+    return groups
+
+
 class PairComparisonCache:
     """Pairwise string-comparison artifacts, memoised per ``(left, right)``.
 
@@ -138,100 +169,130 @@ class PairComparisonCache:
     comparison vector (whose empty flags and Monge-Elkan part are
     directional) is keyed exactly.  Cached arrays are shared — read-only.
 
-    Under the stores sit bounded LRU memos of the similarity cores, whose
-    keys recur across value pairs the stores keep apart: :attr:`levenshtein`
-    (edit prefixes), :attr:`jaro_winkler` (tokens) and :attr:`monge_elkan`
-    (token tuples, via :attr:`jaro_winkler`).  :meth:`clear` empties them,
-    pickling drops them, and :meth:`size` does not count them.
+    Lookups are batched: :meth:`comparison_vectors`, :meth:`similarities`
+    and :meth:`composed_vectors` take a batch's keys, count one hit or miss
+    per key exactly as a loop of single lookups would, and compute the
+    distinct misses together.  Misses that share their left or right string
+    (the pivot of a lattice batch) are computed per pivot: the edit
+    distances of all free prefixes in one packed sweep along the pivot's
+    prefix (:func:`~repro.text.similarity.levenshtein_distances`), and
+    Monge-Elkan from one Jaro-Winkler matrix of the pivot's tokens against
+    the union of the free tokens
+    (:func:`~repro.text.similarity.monge_elkan_grouped`).  That matrix reads
+    the bounded :attr:`jaro_winkler` memo, whose token pairs recur across
+    pivots; :meth:`clear` empties it, pickling drops it, and :meth:`size`
+    does not count it.
     """
 
     def __init__(self, values: ValueFeatureCache) -> None:
         self.values = values
-        self._vectors: dict[tuple[str, str], np.ndarray] = {}
-        self._similarities: dict[tuple[str, str], float] = {}
-        self._composed: dict[tuple[str, str], np.ndarray] = {}
+        self._vectors: dict[PairKey, np.ndarray] = {}
+        self._similarities: dict[PairKey, float] = {}
+        self._composed: dict[PairKey, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
-        self._build_memos()
+        self._build_memo()
 
-    def _build_memos(self) -> None:
-        self.levenshtein = lru_cache(maxsize=1 << 18)(levenshtein_similarity)
+    def _build_memo(self) -> None:
         self.jaro_winkler = lru_cache(maxsize=1 << 18)(jaro_winkler)
-        self.monge_elkan = lru_cache(maxsize=1 << 17)(
-            partial(monge_elkan, token_similarity=self.jaro_winkler)
-        )
 
     def __getstate__(self) -> dict:
-        """Pickle state without the memos (``lru_cache`` wrappers do not pickle)."""
+        """Pickle state without the memo (``lru_cache`` wrappers do not pickle)."""
         state = dict(self.__dict__)
-        del state["levenshtein"], state["jaro_winkler"], state["monge_elkan"]
+        del state["jaro_winkler"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._build_memos()
+        self._build_memo()
 
-    def comparison_vector(self, left: str, right: str) -> np.ndarray:
-        """The 7-dim per-attribute comparison vector (cached, read-only)."""
-        key = (left, right)
-        cached = self._vectors.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        left_features = self.values.features(left)
-        right_features = self.values.features(right)
-        vector = np.array(
-            [
-                jaccard(left_features.token_set, right_features.token_set),
-                overlap_coefficient(left_features.token_set, right_features.token_set),
-                self.levenshtein(left_features.truncated, right_features.truncated),
-                self.monge_elkan(left_features.me_tokens, right_features.me_tokens),
-                _numeric_similarity(left_features, right_features),
-                1.0 if not left else 0.0,
-                1.0 if not right else 0.0,
-            ],
-            dtype=np.float64,
-        )
-        self._vectors[key] = vector
-        return vector
+    def _resolve(
+        self, store: dict, keys: Sequence[PairKey], compute: Callable[[list[PairKey]], list]
+    ) -> tuple[list, list[int]]:
+        """The distinct keys' values and each key's index among them.
 
-    def similarity(self, left: str, right: str) -> float:
-        """The composite attribute similarity (cached, order-normalised key)."""
-        key = (left, right) if left <= right else (right, left)
-        cached = self._similarities.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        if not left and not right:
-            result = 1.0
-        elif not left or not right:
-            result = 0.0
-        else:
-            left_features = self.values.features(left)
-            right_features = self.values.features(right)
-            token_part = jaccard(left_features.token_set, right_features.token_set)
-            qgram_part = jaccard(left_features.qgram_set, right_features.qgram_set)
-            edit_part = self.levenshtein(left_features.truncated, right_features.truncated)
-            result = (token_part + qgram_part + edit_part) / 3.0
-        self._similarities[key] = result
-        return result
-
-    def composed_vector(self, left: str, right: str, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """Model-specific composed vector keyed by ``(left, right)``.
-
-        ``build`` runs only on a miss; its result is cached and shared.
+        One ``store`` lookup per distinct key; the misses are computed in
+        one ``compute`` call.  A key already stored, or repeated within
+        ``keys``, counts as a hit: the counts a loop of single lookups would
+        make.
         """
-        key = (left, right)
-        cached = self._composed.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        vector = build()
-        self._composed[key] = vector
-        return vector
+        positions: dict[PairKey, int] = {}
+        index = [positions.setdefault(key, len(positions)) for key in keys]
+        values = [store.get(key) for key in positions]
+        missing = [key for key, value in zip(positions, values) if value is None]
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
+        if missing:
+            computed = dict(zip(missing, compute(missing)))
+            store.update(computed)
+            values = [computed[key] if value is None else value for key, value in zip(positions, values)]
+        return values, index
+
+    def comparison_vectors(self, keys: Sequence[PairKey]) -> np.ndarray:
+        """The 7-dim per-attribute comparison vector of each key, one row per key."""
+        values, index = self._resolve(self._vectors, keys, self._compute_vectors)
+        return np.vstack(values)[index]
+
+    def _compute_vectors(self, keys: list[PairKey]) -> list[np.ndarray]:
+        vectors: dict[PairKey, np.ndarray] = {}
+        for (pivot_left, _), group in _pivot_groups(keys).items():
+            features = [
+                (self.values.features(left), self.values.features(right)) for left, right in group
+            ]
+            free = [right if pivot_left else left for left, right in features]
+            pivot = features[0][0] if pivot_left else features[0][1]
+            edits = levenshtein_similarities(pivot.truncated, [item.truncated for item in free])
+            monge = monge_elkan_grouped(
+                pivot.me_tokens, [item.me_tokens for item in free], pivot_left, self.jaro_winkler
+            )
+            for key, (left, right), edit, monge_part in zip(group, features, edits, monge):
+                vectors[key] = np.array(
+                    [
+                        jaccard(left.token_set, right.token_set),
+                        overlap_coefficient(left.token_set, right.token_set),
+                        edit,
+                        monge_part,
+                        _numeric_similarity(left, right),
+                        1.0 if not key[0] else 0.0,
+                        1.0 if not key[1] else 0.0,
+                    ],
+                    dtype=np.float64,
+                )
+        return [vectors[key] for key in keys]
+
+    def similarities(self, keys: Sequence[PairKey]) -> np.ndarray:
+        """The composite attribute similarity of each key (order-normalised keys)."""
+        normalised = [(left, right) if left <= right else (right, left) for left, right in keys]
+        values, index = self._resolve(self._similarities, normalised, self._compute_similarities)
+        return np.array(values, dtype=np.float64)[index]
+
+    def _compute_similarities(self, keys: list[PairKey]) -> list[float]:
+        # Every part is symmetric, so a group may pivot on either side.
+        results = {key: 0.0 if key[0] or key[1] else 1.0 for key in keys}
+        measured = [key for key in keys if key[0] and key[1]]
+        for (pivot_left, _), group in _pivot_groups(measured).items():
+            features = [
+                (self.values.features(left), self.values.features(right)) for left, right in group
+            ]
+            free = [right if pivot_left else left for left, right in features]
+            pivot = features[0][0] if pivot_left else features[0][1]
+            edits = levenshtein_similarities(pivot.truncated, [item.truncated for item in free])
+            for key, (left, right), edit_part in zip(group, features, edits):
+                token_part = jaccard(left.token_set, right.token_set)
+                qgram_part = jaccard(left.qgram_set, right.qgram_set)
+                results[key] = (token_part + qgram_part + edit_part) / 3.0
+        return [results[key] for key in keys]
+
+    def composed_vectors(
+        self, keys: Sequence[PairKey], build: Callable[[list[PairKey]], list[np.ndarray]]
+    ) -> np.ndarray:
+        """Model-specific composed vectors keyed by ``(left, right)``, one row per key.
+
+        ``build`` gets the batch's distinct misses and returns their vectors;
+        they are cached and shared.
+        """
+        values, index = self._resolve(self._composed, keys, build)
+        return np.vstack(values)[index]
 
     def export_state(self) -> dict[str, dict]:
         """The pairwise stores as ``{name: {"keys": [...], "values": array}}``.
@@ -290,8 +351,8 @@ class PairComparisonCache:
         left every live record, so one scan per store removes all keys with a
         retired member.  Like :meth:`ValueFeatureCache.evict
         <repro.text.interning.ValueFeatureCache.evict>` this can only cause
-        recomputation, never different results.  The memos are keyed by
-        prefixes and tokens, not values, so their LRU bound retires them.
+        recomputation, never different results.  The memo is keyed by
+        tokens, not values, so its LRU bound retires it.
         """
         retired = set(values)
         if not retired:
@@ -305,17 +366,15 @@ class PairComparisonCache:
         return dropped
 
     def size(self) -> int:
-        """Total number of cached pairwise entries (the memos not counted)."""
+        """Total number of cached pairwise entries (the memo not counted)."""
         return len(self._vectors) + len(self._similarities) + len(self._composed)
 
     def clear(self) -> None:
-        """Drop all cached comparisons and memos (counters are left intact)."""
+        """Drop all cached comparisons and the memo (counters are left intact)."""
         self._vectors.clear()
         self._similarities.clear()
         self._composed.clear()
-        self.levenshtein.cache_clear()
         self.jaro_winkler.cache_clear()
-        self.monge_elkan.cache_clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (cached comparisons are left intact)."""
@@ -447,26 +506,40 @@ class PairFeaturizer:
         self._rows_built = 0
 
 
+def _aligned_columns(pairs: list[RecordPair]) -> list[list[PairKey]]:
+    """Per aligned attribute position, every pair's ``(left_value, right_value)``."""
+    rows = [
+        [(left_value, right_value) for _, __, left_value, right_value in aligned_attribute_pairs(pair)]
+        for pair in pairs
+    ]
+    return [list(column) for column in zip(*rows)]
+
+
+def _record_texts(pairs: list[RecordPair]) -> list[PairKey]:
+    """Every pair's whole-record texts, the key of its record-level comparison."""
+    return [(pair.left.as_text(), pair.right.as_text()) for pair in pairs]
+
+
 class RecordPairFeaturizer(PairFeaturizer):
     """DeepER: record-level embedding composition from interned record texts.
 
     Mirrors :meth:`repro.models.features.RecordEmbedder.compose_pair`: the
     embedding blocks are assembled as whole matrices (``|L - R|`` and
-    ``L * R`` over stacked cached rows), the scalar tail per row through the
-    same functions the naive path calls.
+    ``L * R`` over stacked cached rows), the cosine per row through the same
+    function the naive path calls, and the whole-record similarities in one
+    :meth:`PairComparisonCache.similarities` batch.
     """
 
     def _compose(self, pairs: list[RecordPair]) -> np.ndarray:
-        left_texts = [pair.left.as_text() for pair in pairs]
-        right_texts = [pair.right.as_text() for pair in pairs]
-        left_rows = [self.values.embedding(text) for text in left_texts]
-        right_rows = [self.values.embedding(text) for text in right_texts]
+        texts = _record_texts(pairs)
+        left_rows = [self.values.embedding(left_text) for left_text, _ in texts]
+        right_rows = [self.values.embedding(right_text) for _, right_text in texts]
         left_matrix = np.vstack(left_rows)
         right_matrix = np.vstack(right_rows)
         scalars = np.empty((len(pairs), 2), dtype=np.float64)
         for index, (left_vector, right_vector) in enumerate(zip(left_rows, right_rows)):
             scalars[index, 0] = cosine_similarity(left_vector, right_vector)
-            scalars[index, 1] = self.comparisons.similarity(left_texts[index], right_texts[index])
+        scalars[:, 1] = self.comparisons.similarities(texts)
         return np.hstack(
             [np.abs(left_matrix - right_matrix), left_matrix * right_matrix, scalars]
         )
@@ -478,32 +551,29 @@ class AttributePairFeaturizer(PairFeaturizer):
     The entire 9-dim attribute vector (embedding cosine, embedding distance
     and the 7 comparison features) is a pure function of the two value
     strings, so it is memoised whole: a perturbed pair that changes one
-    attribute misses only on that attribute's block.
+    attribute misses only on that attribute's block.  The matrix is built
+    column by column: one batch of lookups per aligned attribute, then one
+    for the whole-record comparison vectors.
     """
 
-    def _attribute_vector(self, left_value: str, right_value: str) -> np.ndarray:
-        def build() -> np.ndarray:
+    def _attribute_vectors(self, keys: list[PairKey]) -> list[np.ndarray]:
+        comparisons = self.comparisons.comparison_vectors(keys)
+        vectors = []
+        for (left_value, right_value), comparison in zip(keys, comparisons):
             left_embedding = self.values.embedding(left_value)
             right_embedding = self.values.embedding(right_value)
             cosine = cosine_similarity(left_embedding, right_embedding)
             embedding_distance = float(np.linalg.norm(left_embedding - right_embedding)) / 2.0
-            comparisons = self.comparisons.comparison_vector(left_value, right_value)
-            return np.concatenate([[cosine, 1.0 - embedding_distance], comparisons])
-
-        return self.comparisons.composed_vector(left_value, right_value, build)
+            vectors.append(np.concatenate([[cosine, 1.0 - embedding_distance], comparison]))
+        return vectors
 
     def _compose(self, pairs: list[RecordPair]) -> np.ndarray:
-        rows = []
-        for pair in pairs:
-            blocks = [
-                self._attribute_vector(left_value, right_value)
-                for _, __, left_value, right_value in aligned_attribute_pairs(pair)
-            ]
-            blocks.append(
-                self.comparisons.comparison_vector(pair.left.as_text(), pair.right.as_text())
-            )
-            rows.append(np.concatenate(blocks))
-        return np.vstack(rows)
+        blocks = [
+            self.comparisons.composed_vectors(keys, self._attribute_vectors)
+            for keys in _aligned_columns(pairs)
+        ]
+        blocks.append(self.comparisons.comparison_vectors(_record_texts(pairs)))
+        return np.hstack(blocks)
 
 
 class SerializedPairFeaturizer(PairFeaturizer):
@@ -511,37 +581,41 @@ class SerializedPairFeaturizer(PairFeaturizer):
 
     The hashed vector of each serialised record text is interned (the pivot
     side of a perturbed pair always hits), and the O(attributes^2) alignment
-    matrix of composite attribute similarities is served from the pairwise
-    cache — only the perturbed value's comparisons are recomputed.
+    matrices of composite attribute similarities come from one
+    :meth:`PairComparisonCache.similarities` batch for all rows — only the
+    perturbed values' comparisons are computed.
     """
 
     def _compose(self, pairs: list[RecordPair]) -> np.ndarray:
-        rows = []
+        # Each row looks up left x right similarities, then right x left
+        # ones (the same order-normalised keys), as the naive path does.
+        shapes = []
+        keys: list[PairKey] = []
         for pair in pairs:
+            left_values = [pair.left.value(name) for name in pair.left.attribute_names()]
+            right_values = [pair.right.value(name) for name in pair.right.attribute_names()]
+            shapes.append((len(left_values), len(right_values)))
+            keys.extend((left, right) for left in left_values for right in right_values)
+            keys.extend((right, left) for right in right_values for left in left_values)
+        similarities = self.comparisons.similarities(keys)
+
+        rows = []
+        offset = 0
+        for pair, (left_width, right_width) in zip(pairs, shapes):
             left_text, right_text = serialize_pair(pair)
             left_vector = self.values.vector(left_text)
             right_vector = self.values.vector(right_text)
             interaction = left_vector * right_vector
             cosine = cosine_similarity(left_vector, right_vector)
 
-            left_values = [pair.left.value(name) for name in pair.left.attribute_names()]
-            right_values = [pair.right.value(name) for name in pair.right.attribute_names()]
-            alignment: list[float] = []
-            for left_value in left_values:
-                if not right_values:
-                    alignment.append(0.0)
-                    continue
-                alignment.append(
-                    max(self.comparisons.similarity(left_value, right_value) for right_value in right_values)
-                )
-            for right_value in right_values:
-                if not left_values:
-                    alignment.append(0.0)
-                    continue
-                alignment.append(
-                    max(self.comparisons.similarity(right_value, left_value) for left_value in left_values)
-                )
-            alignment_vector = np.array(alignment, dtype=np.float64)
+            size = left_width * right_width
+            if size:
+                forward = similarities[offset : offset + size].reshape(left_width, right_width)
+                backward = similarities[offset + size : offset + 2 * size].reshape(right_width, left_width)
+                alignment_vector = np.concatenate([forward.max(axis=1), backward.max(axis=1)])
+            else:
+                alignment_vector = np.zeros(left_width + right_width, dtype=np.float64)
+            offset += 2 * size
             alignment_summary = np.array(
                 [
                     float(alignment_vector.mean()) if alignment_vector.size else 0.0,
@@ -573,17 +647,8 @@ class SerializedPairFeaturizer(PairFeaturizer):
 
 
 class ComparisonPairFeaturizer(PairFeaturizer):
-    """Classical baseline: cached per-attribute comparison vectors only."""
+    """Classical baseline: cached comparison vectors, one batch per column."""
 
     def _compose(self, pairs: list[RecordPair]) -> np.ndarray:
-        rows = []
-        for pair in pairs:
-            blocks = [
-                self.comparisons.comparison_vector(left_value, right_value)
-                for _, __, left_value, right_value in aligned_attribute_pairs(pair)
-            ]
-            blocks.append(
-                self.comparisons.comparison_vector(pair.left.as_text(), pair.right.as_text())
-            )
-            rows.append(np.concatenate(blocks))
-        return np.vstack(rows)
+        columns = _aligned_columns(pairs) + [_record_texts(pairs)]
+        return np.hstack([self.comparisons.comparison_vectors(keys) for keys in columns])

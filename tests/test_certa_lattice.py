@@ -72,15 +72,24 @@ class TestSharedNodeKeys:
         dataset = load_benchmark("IA", scale=0.5)
         model = train_model("deepmatcher", dataset, fast=True).model
         explanations = []
-        for pair in list(dataset.test.pairs)[:2]:
+        for pair in list(dataset.test.pairs)[:3]:
             model.clear_featurizer_cache()
             explainer = CertaExplainer(model, dataset.left, dataset.right, num_triangles=4)
             explanations.append(explainer.explain_full(pair))
-        first, second = (explanation.sufficiency_by_set for explanation in explanations)
+        first, second, third = (explanation.sufficiency_by_set for explanation in explanations)
         first_keys = {attributes: attributes for _side, attributes in first}
         shared = [attributes for _side, attributes in second if attributes in first_keys]
         assert shared
         assert all(first_keys[attributes] is attributes for attributes in shared)
+        # The (side, attributes) tuples are shared objects too (the first two
+        # pairs' triangles lie on opposite sides; the third's on both).
+        earlier = {key: key for key in list(first) + list(second)}
+        shared_tuples = [key for key in third if key in earlier]
+        assert shared_tuples
+        assert all(earlier[key] is key for key in shared_tuples)
+        # Equal probabilities within an explanation are one float object.
+        probabilities = list(third.values())
+        assert len({id(value) for value in probabilities}) == len(set(probabilities)) < len(probabilities)
 
 
 class TestTaggingAndPropagation:

@@ -8,9 +8,11 @@ for the layer above:
   for all four matcher families, on a lattice-style perturbed workload, and
   identical CERTA explanations end-to-end;
 * **interning** — every distinct value string is processed once, pairwise
-  comparisons are memoised (symmetric-key for the composite similarity), and
-  each featurizer's own Levenshtein / Monge-Elkan memos agree with the plain
-  functions and empty with its other caches;
+  comparisons are memoised (symmetric-key for the composite similarity),
+  batch lookups count and compute exactly what one-key lookups would, the
+  per-pivot edit-distance and Monge-Elkan cores agree with the plain
+  functions, and each featurizer's Jaro-Winkler memo empties with its other
+  caches;
 * **accounting** — :class:`~repro.models.featurizer.FeaturizerStats`
   arithmetic, the hit/miss counters, and their surfacing through
   :class:`~repro.models.engine.PredictionEngine` and
@@ -23,6 +25,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.certa.explainer import CertaExplainer
 from repro.certa.perturbation import perturbed_pair
@@ -32,6 +36,7 @@ from repro.models.featurizer import FeaturizerStats, PairComparisonCache
 from repro.models.training import make_model
 from repro.text.interning import ValueFeatureCache, ValueFeatures
 from repro.text.similarity import attribute_similarity, levenshtein_similarity, monge_elkan
+from repro.text.tokenize import tokenize
 
 from tests.helpers import SimilarityModel, toy_pairs, toy_sources
 
@@ -55,26 +60,33 @@ VALUE_PAIRS = [
 ]
 
 
-def lattice_workload(pairs, source, supports_per_pair: int = 3):
-    """One pivot, many token-subset perturbations — the CERTA workload shape."""
+def lattice_workload(pairs, left_source, right_source, supports_per_pair: int = 3):
+    """One pivot, many token-subset perturbations — the CERTA workload shape.
+
+    Each pair's left record is perturbed against the fixed right one, then
+    its right record against the fixed left one, so the featurizer's
+    per-pivot groups form on both sides.
+    """
     workload = []
     for pair in pairs:
         workload.append(pair)
-        supports = [
-            record for record in source if record.record_id != pair.left.record_id
-        ][:supports_per_pair]
-        attributes = list(pair.left.attribute_names())
-        for support in supports:
-            for size in range(1, len(attributes) + 1):
-                for subset in itertools.combinations(attributes, size):
-                    workload.append(perturbed_pair(pair, "left", support, frozenset(subset)))
+        for side, source in (("left", left_source), ("right", right_source)):
+            free = getattr(pair, side)
+            supports = [
+                record for record in source if record.record_id != free.record_id
+            ][:supports_per_pair]
+            attributes = list(free.attribute_names())
+            for support in supports:
+                for size in range(1, len(attributes) + 1):
+                    for subset in itertools.combinations(attributes, size):
+                        workload.append(perturbed_pair(pair, side, support, frozenset(subset)))
     return workload
 
 
 @pytest.fixture()
 def workload(sources, labelled_pairs):
-    left, _ = sources
-    return lattice_workload(labelled_pairs[:4], left)
+    left, right = sources
+    return lattice_workload(labelled_pairs[:4], left, right)
 
 
 # ------------------------------------------------------------ golden equivalence
@@ -188,25 +200,34 @@ class TestValueInterning:
         assert cache.hits == 0 and cache.misses == 0
 
 
+def _loop_lookups(lookup, keys):
+    """``lookup`` one key at a time: the reference for the batch methods."""
+    return [lookup([key])[0] for key in keys]
+
+
+def _counters(cache):
+    return cache.hits, cache.misses, cache.values.hits, cache.values.misses
+
+
 class TestComparisonCache:
     @pytest.mark.parametrize("left,right", VALUE_PAIRS)
     def test_comparison_vector_matches_reference(self, left, right):
         cache = PairComparisonCache(ValueFeatureCache())
         reference = attribute_comparison_vector(left, right)
-        assert cache.comparison_vector(left, right).tobytes() == reference.tobytes()
+        assert cache.comparison_vectors([(left, right)])[0].tobytes() == reference.tobytes()
         # And again from the cache.
-        assert cache.comparison_vector(left, right).tobytes() == reference.tobytes()
+        assert cache.comparison_vectors([(left, right)])[0].tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("left,right", VALUE_PAIRS)
     def test_similarity_matches_reference(self, left, right):
         cache = PairComparisonCache(ValueFeatureCache())
-        assert cache.similarity(left, right) == attribute_similarity(left, right)
+        assert cache.similarities([(left, right)])[0] == attribute_similarity(left, right)
 
     def test_similarity_key_is_symmetric(self):
         cache = PairComparisonCache(ValueFeatureCache())
-        forward = cache.similarity("sony bravia", "bravia theater")
+        forward = cache.similarities([("sony bravia", "bravia theater")])[0]
         assert cache.misses == 1
-        backward = cache.similarity("bravia theater", "sony bravia")
+        backward = cache.similarities([("bravia theater", "sony bravia")])[0]
         assert cache.hits == 1  # served by the order-normalised key
         assert backward == forward
 
@@ -214,59 +235,132 @@ class TestComparisonCache:
         cache = PairComparisonCache(ValueFeatureCache())
         calls = []
 
-        def build():
-            calls.append(1)
-            return np.array([1.0, 2.0])
+        def build(keys):
+            calls.append(list(keys))
+            return [np.array([1.0, float(len(left))]) for left, _ in keys]
 
-        first = cache.composed_vector("a", "b", build)
-        second = cache.composed_vector("a", "b", build)
-        assert second is first
-        assert len(calls) == 1
-        assert cache.hits == 1 and cache.misses == 1
+        first = cache.composed_vectors([("a", "b"), ("aa", "b"), ("a", "b")], build)
+        second = cache.composed_vectors([("a", "b")], build)
+        assert calls == [[("a", "b"), ("aa", "b")]]  # the distinct misses, once
+        assert first.tolist() == [[1.0, 1.0], [1.0, 2.0], [1.0, 1.0]]
+        assert second.tolist() == [[1.0, 1.0]]
+        assert cache.hits == 2 and cache.misses == 2
+
+
+#: Values for the batch properties: empty, numeric, short and past both the
+#: 64-character edit prefix and the 12-token Monge-Elkan prefix.
+batch_values = st.one_of(
+    st.sampled_from(["", "199.99", "205.00", "nan", "sony", "Sony BRAVIA"]),
+    st.lists(
+        st.sampled_from(["sony", "bravia", "theater", "brav", "10", "e\u0301t\u00e9", "x" * 30]),
+        max_size=16,
+    ).map(" ".join),
+)
+
+
+@st.composite
+def batch_keys(draw):
+    """Keys with in-batch duplicates and groups pivoted on either side."""
+    pivot = draw(batch_values)
+    keys = []
+    for kind in draw(st.lists(st.sampled_from(["left", "right", "any", "repeat"]), min_size=1, max_size=24)):
+        if kind == "repeat" and keys:
+            keys.append(keys[draw(st.integers(min_value=0, max_value=len(keys) - 1))])
+        elif kind == "left":
+            keys.append((pivot, draw(batch_values)))
+        elif kind == "right":
+            keys.append((draw(batch_values), pivot))
+        else:
+            keys.append((draw(batch_values), draw(batch_values)))
+    return keys
+
+
+class TestBatchLookups:
+    """A batch lookup equals a loop of one-key lookups on a fresh cache."""
+
+    @given(batch_keys())
+    @settings(max_examples=80, deadline=None)
+    def test_comparison_vectors_match_the_one_key_loop(self, keys):
+        batch = PairComparisonCache(ValueFeatureCache())
+        loop = PairComparisonCache(ValueFeatureCache())
+        matrix = batch.comparison_vectors(keys)
+        rows = _loop_lookups(loop.comparison_vectors, keys)
+        assert matrix.tobytes() == np.vstack(rows).tobytes()
+        assert matrix.tobytes() == np.vstack(
+            [attribute_comparison_vector(left, right) for left, right in keys]
+        ).tobytes()
+        assert _counters(batch) == _counters(loop)
+
+    @given(batch_keys())
+    @settings(max_examples=80, deadline=None)
+    def test_similarities_match_the_one_key_loop(self, keys):
+        batch = PairComparisonCache(ValueFeatureCache())
+        loop = PairComparisonCache(ValueFeatureCache())
+        values = batch.similarities(keys)
+        assert values.tobytes() == np.array(_loop_lookups(loop.similarities, keys)).tobytes()
+        assert values.tolist() == [attribute_similarity(left, right) for left, right in keys]
+        assert _counters(batch) == _counters(loop)
+
+    def test_warm_batch_counts_hits_only(self):
+        cache = PairComparisonCache(ValueFeatureCache())
+        keys = [("sony", "sony bravia"), ("", "sony"), ("sony", "sony bravia")]
+        cache.comparison_vectors(keys)
+        assert (cache.hits, cache.misses) == (1, 2)
+        cache.comparison_vectors(keys)
+        assert (cache.hits, cache.misses) == (4, 2)
 
 
 class TestMemoizedCores:
+    """The per-pivot cores agree with the plain functions in both directions.
+
+    Edit distance and Monge-Elkan are no longer memoised per call: a batch's
+    misses that share a string are computed per pivot (one packed sweep, one
+    Jaro-Winkler matrix read through the memo).  Each value pair is checked
+    alone and inside a two-key group pivoted on its left, then on its right.
+    """
+
+    @staticmethod
+    def vectors(left, right):
+        """The pair's comparison vector alone, pivoted on its left, on its right."""
+        batches = ([], [(left, right + " extra")], [(left + " extra", right)])
+        return [
+            PairComparisonCache(ValueFeatureCache()).comparison_vectors([(left, right)] + batch)[0]
+            for batch in batches
+        ]
+
     @pytest.mark.parametrize("left,right", VALUE_PAIRS)
     def test_levenshtein_core_agrees(self, left, right):
-        memo = PairComparisonCache(ValueFeatureCache()).levenshtein
-        expected = levenshtein_similarity(left, right)
-        assert memo(left, right) == memo(left, right) == expected
-        assert memo.cache_info().hits == 1
+        expected = levenshtein_similarity(left[:64], right[:64])
+        assert [vector[2] for vector in self.vectors(left, right)] == [expected] * 3
 
     @pytest.mark.parametrize("left,right", VALUE_PAIRS)
     def test_monge_elkan_core_agrees(self, left, right):
-        left_tokens = tuple(left.split()[:12])
-        right_tokens = tuple(right.split()[:12])
-        memo = PairComparisonCache(ValueFeatureCache()).monge_elkan
-        expected = monge_elkan(list(left_tokens), list(right_tokens))
-        assert memo(left_tokens, right_tokens) == memo(left_tokens, right_tokens) == expected
-        assert memo.cache_info().hits == 1
+        expected = monge_elkan(tokenize(left)[:12], tokenize(right)[:12])
+        assert [vector[3] for vector in self.vectors(left, right)] == [expected] * 3
 
 
 class TestMemoOwnership:
-    """Each featurizer owns its similarity memos; nothing is process-wide."""
+    """Each featurizer owns its Jaro-Winkler memo; nothing is process-wide."""
 
     @staticmethod
-    def memo_infos(model):
-        comparisons = model._featurizer.comparisons
-        memos = (comparisons.levenshtein, comparisons.jaro_winkler, comparisons.monge_elkan)
-        return [memo.cache_info() for memo in memos]
+    def memo_info(model):
+        return model._featurizer.comparisons.jaro_winkler.cache_info()
 
     def test_clear_featurizer_cache_empties_the_memos(self, workload):
         model = make_model("classical")
         model.featurize(workload)
-        assert all(info.currsize > 0 for info in self.memo_infos(model))
+        assert self.memo_info(model).currsize > 0
         model.clear_featurizer_cache()
-        assert [info.currsize for info in self.memo_infos(model)] == [0, 0, 0]
+        assert self.memo_info(model).currsize == 0
 
     def test_two_models_share_no_memo_entries(self, workload):
         warm = make_model("classical")
         warm.featurize(workload)
         cold = make_model("classical")
-        assert [info.currsize for info in self.memo_infos(cold)] == [0, 0, 0]
+        assert self.memo_info(cold).currsize == 0
         cold.featurize(workload)
         # The second model computes every core itself: same traffic, same misses.
-        assert self.memo_infos(cold) == self.memo_infos(warm)
+        assert self.memo_info(cold) == self.memo_info(warm)
 
 
 # ------------------------------------------------------------------ accounting

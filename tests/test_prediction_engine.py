@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.certa.perturbation import perturbed_pair
 from repro.data.records import RecordPair
 from repro.data.table import DataSource
 from repro.exceptions import LatticeError, ModelError
+from repro.models import engine as engine_module
 from repro.models.engine import EngineStats, PredictionEngine, as_engine
 
 from tests.helpers import SimilarityModel, make_record, toy_pairs, toy_sources
@@ -541,6 +543,49 @@ class TestEngineConcurrency:
         assert stats.misses == 1  # one claim; every racer behind it is a hit
         assert stats.hits == threads - 1
         assert stats.hits + stats.misses == stats.requests
+
+    @staticmethod
+    def count_events(monkeypatch) -> list:
+        """Record every ``threading.Event`` the engine module creates."""
+        created: list = []
+
+        def event() -> threading.Event:
+            created.append(threading.Event())
+            return created[-1]
+
+        monkeypatch.setattr(
+            engine_module, "threading", SimpleNamespace(Event=event, Lock=threading.Lock)
+        )
+        return created
+
+    def test_single_threaded_explanation_creates_no_event(self, sources, match_pair, monkeypatch):
+        created = self.count_events(monkeypatch)
+        left, right = sources
+        engine = PredictionEngine(SimilarityModel())
+        explainer = CertaExplainer(engine.model, left, right, num_triangles=6, seed=0, engine=engine)
+        explanation = explainer.explain_full(match_pair)
+        assert explanation.engine_stats.misses > 0
+        assert created == []
+
+    def test_waiters_on_one_claim_share_one_event(self, match_pair, monkeypatch):
+        created = self.count_events(monkeypatch)
+        engine = PredictionEngine(self._PausingModel())
+        threads = 6
+        barrier = threading.Barrier(threads)
+        scores: list[float] = [0.0] * threads
+
+        def racer(slot: int) -> None:
+            barrier.wait()
+            scores[slot] = engine.predict_pair(match_pair)
+
+        workers = [threading.Thread(target=racer, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert len(set(scores)) == 1 and scores[0] > 0.0
+        assert engine.stats.misses == 1
+        assert len(created) <= 1  # made by the first waiter, reused by the rest
 
     def test_racing_threads_on_disjoint_batches_reconcile(self, labelled_pairs):
         engine = PredictionEngine(SimilarityModel())

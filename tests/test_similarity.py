@@ -14,8 +14,11 @@ from repro.text.similarity import (
     jaro,
     jaro_winkler,
     levenshtein_distance,
+    levenshtein_distances,
+    levenshtein_similarities,
     levenshtein_similarity,
     monge_elkan,
+    monge_elkan_grouped,
     numeric_similarity,
     overlap_coefficient,
     pair_similarity_profile,
@@ -73,6 +76,74 @@ def dp_levenshtein_distance(left: str, right: str) -> int:
             current.append(min(insert_cost, delete_cost, replace_cost))
         previous = current
     return previous[-1]
+
+
+@st.composite
+def packed_groups(draw):
+    """A text of 0-200 code points and 1-40 patterns: empty, equal to the
+    text, spliced from it, longer than it, or independent."""
+    chars = draw(edit_alphabets)
+
+    def sized_text() -> str:
+        size = draw(st.integers(min_value=0, max_value=200))
+        return draw(st.text(alphabet=chars, min_size=size, max_size=size))
+
+    text = sized_text()
+    patterns = []
+    lanes = draw(st.integers(min_value=1, max_value=40))
+    kinds = st.sampled_from(["empty", "equal", "spliced", "longer", "independent"])
+    for kind in draw(st.lists(kinds, min_size=lanes, max_size=lanes)):
+        if kind == "empty":
+            patterns.append("")
+        elif kind == "equal":
+            patterns.append(text)
+        elif kind == "spliced":
+            start = draw(st.integers(min_value=0, max_value=len(text)))
+            end = draw(st.integers(min_value=start, max_value=len(text)))
+            patterns.append(text[:start] + draw(st.text(alphabet=chars, max_size=8)) + text[end:])
+        elif kind == "longer":
+            patterns.append(text + draw(st.text(alphabet=chars, min_size=1, max_size=40)))
+        else:
+            patterns.append(sized_text())
+    return text, patterns
+
+
+def scan_jaro(left: str, right: str) -> float:
+    """The textbook window scan: the oracle for the bit-parallel :func:`jaro`."""
+    if left == right:
+        return 1.0
+    if not left or not right:
+        return 0.0
+    match_window = max(max(len(left), len(right)) // 2 - 1, 0)
+    left_matches = [False] * len(left)
+    right_matches = [False] * len(right)
+    matches = 0
+    for i, left_char in enumerate(left):
+        start = max(0, i - match_window)
+        end = min(i + match_window + 1, len(right))
+        for j in range(start, end):
+            if right_matches[j] or right[j] != left_char:
+                continue
+            left_matches[i] = True
+            right_matches[j] = True
+            matches += 1
+            break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i, matched in enumerate(left_matches):
+        if not matched:
+            continue
+        while not right_matches[j]:
+            j += 1
+        if left[i] != right[j]:
+            transpositions += 1
+        j += 1
+    transpositions //= 2
+    return (
+        matches / len(left) + matches / len(right) + (matches - transpositions) / matches
+    ) / 3.0
 
 
 class TestSetSimilarities:
@@ -156,6 +227,24 @@ class TestEditDistances:
         assert levenshtein_similarity(left, right) == (1.0 - expected / longest if longest else 1.0)
 
 
+    @given(packed_groups())
+    @settings(max_examples=100, deadline=None)
+    def test_packed_distances_match_the_dp_oracle(self, group):
+        text, patterns = group
+        expected = [dp_levenshtein_distance(text, pattern) for pattern in patterns]
+        assert levenshtein_distances(text, patterns) == expected
+        similarities = levenshtein_similarities(text, patterns)
+        assert similarities == [levenshtein_similarity(text, pattern) for pattern in patterns]
+
+    def test_packed_distances_span_several_sweeps(self):
+        text = "sony bravia theater"
+        patterns = [text[:size] + "x" * (size % 3) for size in range(70)] + ["", text]
+        expected = [dp_levenshtein_distance(text, pattern) for pattern in patterns]
+        assert levenshtein_distances(text, patterns) == expected
+        assert levenshtein_distances(text, []) == []
+        assert levenshtein_distances("", ["", "ab"]) == [0, 2]
+
+
 class TestJaro:
     def test_jaro_identical(self):
         assert jaro("martha", "martha") == 1.0
@@ -174,6 +263,13 @@ class TestJaro:
     def test_jaro_winkler_bounded(self, left, right):
         assert 0.0 <= jaro_winkler(left, right) <= 1.0 + 1e-9
 
+    @given(edit_alphabets.flatmap(lambda chars: st.tuples(st.text(chars, max_size=24), st.text(chars, max_size=24))))
+    @settings(max_examples=300, deadline=None)
+    def test_jaro_matches_the_scan_oracle(self, pair):
+        left, right = pair
+        assert jaro(left, right) == scan_jaro(left, right)
+        assert jaro(right, left) == scan_jaro(right, left)
+
 
 class TestCompositeSimilarities:
     def test_monge_elkan_identical_tokens(self):
@@ -182,6 +278,28 @@ class TestCompositeSimilarities:
     def test_monge_elkan_empty(self):
         assert monge_elkan([], []) == 1.0
         assert monge_elkan(["a"], []) == 0.0
+
+    @given(
+        st.lists(st.sampled_from(["sony", "son", "bravia", "brav", "e\u0301t\u00e9", "10", "x"]), max_size=6),
+        st.lists(
+            st.lists(st.sampled_from(["sony", "bravia", "bra", "black", "\u00e9t\u00e9", "10", "1"]), max_size=6),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_monge_elkan_matches_the_loop(self, pivot, others):
+        others = [tuple(other) for other in others]
+        assert monge_elkan_grouped(pivot, others, pivot_left=True) == [
+            monge_elkan(pivot, other) for other in others
+        ]
+        assert monge_elkan_grouped(pivot, others, pivot_left=False) == [
+            monge_elkan(other, pivot) for other in others
+        ]
+
+    def test_grouped_monge_elkan_empty_tuples(self):
+        assert monge_elkan_grouped([], [(), ("a",)], pivot_left=True) == [1.0, 0.0]
+        assert monge_elkan_grouped(["a"], [(), ("a",)], pivot_left=False) == [0.0, 1.0]
 
     def test_qgram_similarity_identical(self):
         assert qgram_similarity("bravia", "bravia") == 1.0
