@@ -29,10 +29,9 @@ def test_table2_faithfulness(benchmark, saliency_rows, results_dir):
     assert all(0.0 <= row["faithfulness"] <= 1.0 for row in rows)
     assert all(row["skipped"] >= 0 for row in rows)
     # Shape observation: the paper reports CERTA winning most cells.  At laptop
-    # scale with the synthetic stand-in matchers this does not always hold (see
-    # EXPERIMENTS.md for the discussion), so the winner split is printed above
-    # rather than asserted; we only require CERTA to stay competitive on
-    # average (within 0.25 AUC of the best method).
+    # scale with the synthetic stand-in matchers this does not always hold, so
+    # the winner split is printed above rather than asserted; we only require
+    # CERTA to stay competitive on average (within 0.25 AUC of the best method).
     import numpy as np
 
     mean_by_method = {

@@ -22,6 +22,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+from repro.data.artifacts import write_atomic_text
 from repro.eval import ExperimentHarness, HarnessConfig, SweepRunner, format_table
 
 CONFIG = HarnessConfig(
@@ -55,7 +56,7 @@ def main() -> None:
     # 2. Simulate a kill mid-sweep: drop the last completed unit and leave a
     #    half-written line, then resume.  Only the missing unit re-runs.
     lines = store.read_text(encoding="utf-8").splitlines()
-    store.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
+    write_atomic_text(store, "\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
     resumed = ExperimentHarness(CONFIG, runner=SweepRunner(checkpoint=store))
     resumed_rows = resumed.saliency_rows(methods=METHODS)
     assert resumed_rows == rows, "resumed rows must equal the uninterrupted run"

@@ -9,7 +9,7 @@ regressions in the code paths they exercise; this package catches the
 *constructs* that create such regressions anywhere in the tree, at lint
 time:
 
-    PYTHONPATH=src python -m repro.analysis src tests benchmarks
+    PYTHONPATH=src python -m repro.analysis src tests benchmarks examples
 
 Rules are small `ast` visitors registered in :data:`~repro.analysis.core.RULES`
 (see :mod:`repro.analysis.rules`); intentional exceptions are annotated in

@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python -m repro.analysis src tests benchmarks
+    PYTHONPATH=src python -m repro.analysis src tests benchmarks examples
     PYTHONPATH=src python -m repro.analysis --format json src
     PYTHONPATH=src python -m repro.analysis --list-rules
 

@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import env, faults
+from repro.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports (no cycle at runtime)
     from repro.data.dataset import ERDataset
@@ -111,7 +112,7 @@ def token_shard(token: str, num_shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class ArtifactStoreStats:
+class ArtifactStoreStats(Counters):
     """Counters of one :class:`ArtifactStore` (immutable snapshot semantics).
 
     ``*_loads`` count artifacts served from disk, ``*_saves`` artifacts
@@ -131,21 +132,6 @@ class ArtifactStoreStats:
     model_saves: int = 0
     model_misses: int = 0
     quarantined: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain dictionary view for reports, manifests and smoke tests."""
-        return {
-            "index_loads": self.index_loads,
-            "index_saves": self.index_saves,
-            "index_misses": self.index_misses,
-            "featurizer_loads": self.featurizer_loads,
-            "featurizer_saves": self.featurizer_saves,
-            "featurizer_misses": self.featurizer_misses,
-            "model_loads": self.model_loads,
-            "model_saves": self.model_saves,
-            "model_misses": self.model_misses,
-            "quarantined": self.quarantined,
-        }
 
 
 def _fsync_directory(path: Path) -> None:
@@ -414,18 +400,7 @@ class ArtifactStore:
     @property
     def stats(self) -> ArtifactStoreStats:
         """Immutable snapshot of the load/save/miss counters."""
-        return ArtifactStoreStats(
-            index_loads=self.index_loads,
-            index_saves=self.index_saves,
-            index_misses=self.index_misses,
-            featurizer_loads=self.featurizer_loads,
-            featurizer_saves=self.featurizer_saves,
-            featurizer_misses=self.featurizer_misses,
-            model_loads=self.model_loads,
-            model_saves=self.model_saves,
-            model_misses=self.model_misses,
-            quarantined=self.quarantined,
-        )
+        return ArtifactStoreStats.of(self)
 
     # ----------------------------------------------------- degrade & quarantine
 

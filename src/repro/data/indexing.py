@@ -68,6 +68,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro import faults
+from repro.counters import Counters
 from repro.data.artifacts import ArtifactStore, default_store
 from repro.data.blocking import DEFAULT_BLOCKING_TOKEN_LENGTH
 from repro.data.records import Record, RecordPair
@@ -103,7 +104,7 @@ def interned_blocking_tokens(record: Record, min_length: int) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class IndexStats:
+class IndexStats(Counters):
     """Counters of one (or a sum of) :class:`SourceTokenIndex` (snapshot semantics).
 
     ``builds``
@@ -144,44 +145,7 @@ class IndexStats:
     compile_ms: float = 0.0
     degraded_queries: int = 0
 
-    def __sub__(self, other: "IndexStats") -> "IndexStats":
-        """Counter delta between two snapshots."""
-        return IndexStats(
-            builds=self.builds - other.builds,
-            loads=self.loads - other.loads,
-            delta_applies=self.delta_applies - other.delta_applies,
-            queries=self.queries - other.queries,
-            postings_visited=self.postings_visited - other.postings_visited,
-            candidates_pruned=self.candidates_pruned - other.candidates_pruned,
-            compile_ms=self.compile_ms - other.compile_ms,
-            degraded_queries=self.degraded_queries - other.degraded_queries,
-        )
-
-    def __add__(self, other: "IndexStats") -> "IndexStats":
-        """Counter sum, for aggregating across indexes or explanations."""
-        return IndexStats(
-            builds=self.builds + other.builds,
-            loads=self.loads + other.loads,
-            delta_applies=self.delta_applies + other.delta_applies,
-            queries=self.queries + other.queries,
-            postings_visited=self.postings_visited + other.postings_visited,
-            candidates_pruned=self.candidates_pruned + other.candidates_pruned,
-            compile_ms=self.compile_ms + other.compile_ms,
-            degraded_queries=self.degraded_queries + other.degraded_queries,
-        )
-
-    def as_dict(self) -> dict[str, int | float]:
-        """Plain dictionary view (``index_``-prefixed) for reports and rows."""
-        return {
-            "index_builds": self.builds,
-            "index_loads": self.loads,
-            "index_delta_applies": self.delta_applies,
-            "index_queries": self.queries,
-            "index_postings_visited": self.postings_visited,
-            "index_candidates_pruned": self.candidates_pruned,
-            "index_compile_ms": self.compile_ms,
-            "index_degraded_queries": self.degraded_queries,
-        }
+    key_prefix = "index_"
 
 
 class _DeltaReplayError(Exception):
@@ -299,15 +263,7 @@ class SourceTokenIndex:
     @property
     def stats(self) -> IndexStats:
         """Immutable snapshot of the counters."""
-        return IndexStats(
-            builds=self.builds,
-            loads=self.loads,
-            delta_applies=self.delta_applies,
-            queries=self.queries,
-            postings_visited=self.postings_visited,
-            candidates_pruned=self.candidates_pruned,
-            degraded_queries=self.degraded_queries,
-        )
+        return IndexStats.of(self)
 
     # ------------------------------------------------------------------ build
 

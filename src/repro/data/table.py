@@ -27,7 +27,7 @@ import hashlib
 import operator
 import random
 from collections import Counter, deque
-from itertools import islice
+from itertools import islice, repeat
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -328,9 +328,9 @@ class DataSource:
             raise DatasetError(f"cannot remove unknown record id {record_id!r} from {self.name!r}")
         position = self._position_of(record)
         del self.records[position]
-        self._positions = {
-            entry.record_id: index for index, entry in enumerate(self.records)
-        }
+        # The hints of the records after ``position`` go stale by one; the
+        # identity check in ``_position_of`` catches that on their next use.
+        del self._positions[record_id]
         self._commit_mutation("remove", old=record, new=None, position=position)
         return record
 
@@ -338,13 +338,21 @@ class DataSource:
         """The position of ``record`` (by id) in ``records``, via the hint map.
 
         The stored position is trusted only when the live list still holds
-        ``record`` *itself* there; otherwise ``records`` was reordered or
-        edited in place behind the API's back and the map is rebuilt from an
-        identity scan before answering.
+        ``record`` *itself* there.  Otherwise (a :meth:`remove` shifted it,
+        or ``records`` was edited behind the API's back) a C-speed identity
+        scan finds it and refreshes its hint; when ``record`` is not in the
+        list at all, the map is rebuilt by id before answering.
         """
         position = self._positions.get(record.record_id, -1)
         records = self.records
         if 0 <= position < len(records) and records[position] is record:
+            return position
+        try:
+            position = operator.indexOf(map(operator.is_, records, repeat(record)), True)
+        except ValueError:
+            pass
+        else:
+            self._positions[record.record_id] = position
             return position
         self._positions = {
             entry.record_id: index for index, entry in enumerate(records)

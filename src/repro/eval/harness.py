@@ -60,6 +60,7 @@ from repro.explain.mojito import MojitoExplainer
 from repro.explain.sedc import LimeCExplainer, ShapCExplainer
 from repro.explain.shap import ShapExplainer
 from repro.models.base import MATCH_THRESHOLD, ERModel
+from repro.models.engine import EngineStats
 from repro.models.featurizer import FeaturizerStats
 from repro.models.training import ModelCache, TrainedModel
 
@@ -729,18 +730,7 @@ def _run_prediction_engine_unit(harness: ExperimentHarness, unit: WorkUnit) -> t
     saved = sum(explanation.saved_predictions() for explanation in batched_runs)
     lattice_batches = sum(explanation.lattice_batches() for explanation in batched_runs)
     sequential_calls = sum(explanation.lattice_batches() for explanation in sequential_runs)
-    engine_totals = {"requests": 0, "hits": 0, "misses": 0, "batches": 0}
-    for explanation in batched_runs:
-        if explanation.engine_stats is not None:
-            for key in engine_totals:
-                engine_totals[key] += getattr(explanation.engine_stats, key)
-    featurizer_totals = FeaturizerStats()
-    index_totals = IndexStats()
-    for explanation in batched_runs:
-        if explanation.featurizer_stats is not None:
-            featurizer_totals = featurizer_totals + explanation.featurizer_stats
-        if explanation.index_stats is not None:
-            index_totals = index_totals + explanation.index_stats
+    engine_totals = EngineStats.total(run.engine_stats for run in batched_runs)
     identical = len(batched_runs) == len(sequential_runs) and all(
         batched_one.saliency.scores == sequential_one.saliency.scores
         and batched_one.counterfactual.attribute_set == sequential_one.counterfactual.attribute_set
@@ -756,9 +746,9 @@ def _run_prediction_engine_unit(harness: ExperimentHarness, unit: WorkUnit) -> t
         "lattice_batches": lattice_batches,
         "sequential_calls": sequential_calls,
         "call_reduction": (nodes / lattice_batches) if lattice_batches else 0.0,
-        **engine_totals,
-        **featurizer_totals.as_dict(),
-        **index_totals.as_dict(),
+        **{key: getattr(engine_totals, key) for key in ("requests", "hits", "misses", "batches")},
+        **FeaturizerStats.total(run.featurizer_stats for run in batched_runs).as_dict(),
+        **IndexStats.total(run.index_stats for run in batched_runs).as_dict(),
         "batched_seconds": batched_seconds,
         "sequential_seconds": sequential_seconds,
         "speedup": (sequential_seconds / batched_seconds) if batched_seconds else 0.0,
@@ -823,24 +813,22 @@ def _run_augmentation_supply_unit(harness: ExperimentHarness, unit: WorkUnit) ->
     target = int(unit.param("target", 100))
     model = harness.trained(unit.model, unit.dataset).model
     pairs = harness.sample_pairs(unit.dataset, count=int(unit.param("pairs_per_dataset", 3)))
-    counts = []
-    index_totals = IndexStats()
-    for pair in pairs:
-        search = find_open_triangles(
+    searches = [
+        find_open_triangles(
             model, pair, dataset.left, dataset.right,
             count=target, seed=harness.config.seed,
             allow_augmentation=False, max_candidates=None,
             indexed=harness.config.indexed,
         )
-        counts.append(len(search.triangles))
-        if search.index_stats is not None:
-            index_totals = index_totals + search.index_stats
+        for pair in pairs
+    ]
+    counts = [len(search.triangles) for search in searches]
     row = {
         "dataset": unit.dataset,
         "model": unit.model,
         "target": target,
         "mean_triangles": float(np.mean(counts)) if counts else 0.0,
-        **index_totals.as_dict(),
+        **IndexStats.total(search.index_stats for search in searches).as_dict(),
         "skipped": 0,
         "skip_errors": {},
     }

@@ -2,8 +2,7 @@
 
 The harness returns lists of row dictionaries; these helpers pivot them into
 the layout of the paper's tables (datasets as rows, method columns grouped by
-model) and render fixed-width text tables that the benchmark scripts print and
-EXPERIMENTS.md embeds.
+model) and render fixed-width text tables that the benchmark scripts print.
 
 The sweep-runner additions live here too: :func:`write_jsonl` /
 :func:`read_jsonl` (JSON Lines persistence; ``read_jsonl`` backs the

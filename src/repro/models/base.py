@@ -29,6 +29,28 @@ from repro.models.nn.network import MLPClassifier
 MATCH_THRESHOLD = 0.5
 
 
+class PredictionMixin:
+    """Single-pair scores and match decisions on top of ``predict_proba``.
+
+    Every scorer in the library (the models, the prediction engine and the
+    serving wrappers around it) defines ``predict_proba`` and inherits these,
+    so each call goes through its ``predict_proba`` and the decision rule
+    (score > :data:`MATCH_THRESHOLD`) is written once.
+    """
+
+    def predict_pair(self, pair: RecordPair) -> float:
+        """Matching score of a single pair."""
+        return float(self.predict_proba([pair])[0])
+
+    def predict(self, pairs: Sequence[RecordPair]) -> np.ndarray:
+        """Boolean match decisions (score > 0.5)."""
+        return self.predict_proba(pairs) > MATCH_THRESHOLD
+
+    def predict_match(self, pair: RecordPair) -> bool:
+        """Boolean match decision for a single pair."""
+        return self.predict_pair(pair) > MATCH_THRESHOLD
+
+
 @dataclass
 class TrainingReport:
     """Summary of one training run of an ER model."""
@@ -54,7 +76,7 @@ class TrainingReport:
         }
 
 
-class ERModel(ABC):
+class ERModel(PredictionMixin, ABC):
     """Abstract base class for binary ER matchers with probability outputs.
 
     Subclasses implement :meth:`_featurize_pair` (and optionally
@@ -218,18 +240,6 @@ class ERModel(ABC):
         if not pairs:
             return np.zeros(0, dtype=np.float64)
         return classifier.predict_proba(self.featurize(pairs))
-
-    def predict_pair(self, pair: RecordPair) -> float:
-        """Matching score of a single pair."""
-        return float(self.predict_proba([pair])[0])
-
-    def predict(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        """Boolean match decisions (score > 0.5)."""
-        return self.predict_proba(pairs) > MATCH_THRESHOLD
-
-    def predict_match(self, pair: RecordPair) -> bool:
-        """Boolean match decision for a single pair."""
-        return self.predict_pair(pair) > MATCH_THRESHOLD
 
     # ------------------------------------------------------------------ utility
 

@@ -41,15 +41,16 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro import env, faults
+from repro.counters import Counters
 from repro.data.records import Record, RecordPair
 from repro.exceptions import ModelError, is_transient
-from repro.models.base import MATCH_THRESHOLD
+from repro.models.base import PredictionMixin
 from repro.models.featurizer import FeaturizerStats
 
 #: Environment knob for the per-batch transient-retry budget (declared in
@@ -113,7 +114,7 @@ class SupportsPairPrediction(SupportsPredictProba, Protocol):
 
 
 @dataclass(frozen=True)
-class EngineStats:
+class EngineStats(Counters):
     """Counters of one :class:`PredictionEngine` (immutable snapshot semantics).
 
     ``requests``
@@ -132,6 +133,7 @@ class EngineStats:
         batch into several smaller successful ones.
     ``max_batch``
         Largest single model invocation observed (diagnostic for sizing).
+        A level, not a count: a delta keeps the later snapshot's value.
     ``retries``
         Model invocations re-attempted after a transient failure (see
         :func:`repro.exceptions.is_transient`); 0 on every fault-free run.
@@ -144,36 +146,16 @@ class EngineStats:
     max_batch: int = 0
     retries: int = 0
 
+    levels = frozenset({"max_batch"})
+    rates = ("hit_rate",)
+
     @property
     def hit_rate(self) -> float:
         """Fraction of requests served from the cache (0 when idle)."""
         return self.hits / self.requests if self.requests else 0.0
 
-    def __sub__(self, other: "EngineStats") -> "EngineStats":
-        """Counter delta between two snapshots (``max_batch`` is the later one's)."""
-        return EngineStats(
-            requests=self.requests - other.requests,
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            batches=self.batches - other.batches,
-            max_batch=self.max_batch,
-            retries=self.retries - other.retries,
-        )
 
-    def as_dict(self) -> dict[str, float | int]:
-        """Plain dictionary view for reports and CSV rows."""
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "batches": self.batches,
-            "max_batch": self.max_batch,
-            "retries": self.retries,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class PredictionEngine:
+class PredictionEngine(PredictionMixin):
     """Batched, memoised prediction façade shared by explainers.
 
     Parameters
@@ -273,16 +255,9 @@ class PredictionEngine:
                 raise
             self._publish(pending, computed, scores)
 
+        spent = EngineStats(requests=len(pairs), hits=hits, misses=len(pending_pairs), **tally)
         with self._lock:
-            self._stats = replace(
-                self._stats,
-                requests=self._stats.requests + len(pairs),
-                hits=self._stats.hits + hits,
-                misses=self._stats.misses + len(pending_pairs),
-                batches=self._stats.batches + tally["batches"],
-                max_batch=max(self._stats.max_batch, tally["max_batch"]),
-                retries=self._stats.retries + tally["retries"],
-            )
+            self._stats += spent
         # Waiting last, publishing first: two calls claiming disjoint halves
         # of each other's key sets publish before they wait, so claim cycles
         # cannot deadlock.
@@ -421,18 +396,6 @@ class PredictionEngine:
             f"prediction for pair ({pair.left.record_id!r}, {pair.right.record_id!r}) "
             f"failed after {budget} retr{'y' if budget == 1 else 'ies'}: {failure}"
         ) from failure
-
-    def predict_pair(self, pair: RecordPair) -> float:
-        """Matching score of a single pair (still counted and cached)."""
-        return float(self.predict_proba([pair])[0])
-
-    def predict(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        """Boolean match decisions (score > 0.5)."""
-        return self.predict_proba(pairs) > MATCH_THRESHOLD
-
-    def predict_match(self, pair: RecordPair) -> bool:
-        """Boolean match decision for a single pair."""
-        return self.predict_pair(pair) > MATCH_THRESHOLD
 
 
 def as_engine(

@@ -51,6 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.counters import Counters
 from repro.data.records import RecordPair
 from repro.models.features import aligned_attribute_pairs, serialize_pair
 from repro.text.interning import ValueFeatureCache, ValueFeatures
@@ -66,7 +67,7 @@ from repro.text.vectorize import cosine_similarity
 
 
 @dataclass(frozen=True)
-class FeaturizerStats:
+class FeaturizerStats(Counters):
     """Counters of one featurizer (immutable snapshot semantics).
 
     ``value_hits`` / ``value_misses``
@@ -85,6 +86,8 @@ class FeaturizerStats:
     comparison_misses: int = 0
     rows_built: int = 0
 
+    rates = ("value_hit_rate", "comparison_hit_rate")
+
     @property
     def value_hit_rate(self) -> float:
         """Fraction of value lookups served from the cache (0 when idle)."""
@@ -96,38 +99,6 @@ class FeaturizerStats:
         """Fraction of comparison lookups served from the cache (0 when idle)."""
         requests = self.comparison_hits + self.comparison_misses
         return self.comparison_hits / requests if requests else 0.0
-
-    def __sub__(self, other: "FeaturizerStats") -> "FeaturizerStats":
-        """Counter delta between two snapshots."""
-        return FeaturizerStats(
-            value_hits=self.value_hits - other.value_hits,
-            value_misses=self.value_misses - other.value_misses,
-            comparison_hits=self.comparison_hits - other.comparison_hits,
-            comparison_misses=self.comparison_misses - other.comparison_misses,
-            rows_built=self.rows_built - other.rows_built,
-        )
-
-    def __add__(self, other: "FeaturizerStats") -> "FeaturizerStats":
-        """Counter sum, for aggregating across explanations or featurizers."""
-        return FeaturizerStats(
-            value_hits=self.value_hits + other.value_hits,
-            value_misses=self.value_misses + other.value_misses,
-            comparison_hits=self.comparison_hits + other.comparison_hits,
-            comparison_misses=self.comparison_misses + other.comparison_misses,
-            rows_built=self.rows_built + other.rows_built,
-        )
-
-    def as_dict(self) -> dict[str, float | int]:
-        """Plain dictionary view for reports and CSV rows."""
-        return {
-            "value_hits": self.value_hits,
-            "value_misses": self.value_misses,
-            "value_hit_rate": self.value_hit_rate,
-            "comparison_hits": self.comparison_hits,
-            "comparison_misses": self.comparison_misses,
-            "comparison_hit_rate": self.comparison_hit_rate,
-            "rows_built": self.rows_built,
-        }
 
 
 def _numeric_similarity(left: ValueFeatures, right: ValueFeatures) -> float:

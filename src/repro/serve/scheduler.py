@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.data.records import RecordPair
 from repro.exceptions import BudgetError, ServeError
-from repro.models.base import MATCH_THRESHOLD
+from repro.models.base import PredictionMixin
 from repro.models.engine import EngineStats, PredictionEngine
 
 
@@ -47,7 +47,7 @@ class _Ticket:
         self.error: BaseException | None = None
 
 
-class FrontierScheduler:
+class FrontierScheduler(PredictionMixin):
     """Merge the prediction frontiers of concurrent requests into shared batches.
 
     Implements the same prediction protocol as the engine it wraps
@@ -187,17 +187,8 @@ class FrontierScheduler:
             ) from ticket.error
         return np.array(ticket.scores, dtype=np.float64)
 
-    def predict_pair(self, pair: RecordPair) -> float:
-        return float(self.predict_proba([pair])[0])
 
-    def predict(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        return self.predict_proba(pairs) > MATCH_THRESHOLD
-
-    def predict_match(self, pair: RecordPair) -> bool:
-        return self.predict_pair(pair) > MATCH_THRESHOLD
-
-
-class BudgetedPredictor:
+class BudgetedPredictor(PredictionMixin):
     """Per-request prediction proxy enforcing deadline and node budgets.
 
     Checks run *before* each submission: once the request's wall-clock
@@ -241,12 +232,3 @@ class BudgetedPredictor:
         pairs = list(pairs)
         self._admit(len(pairs))
         return self.predictor.predict_proba(pairs)
-
-    def predict_pair(self, pair: RecordPair) -> float:
-        return float(self.predict_proba([pair])[0])
-
-    def predict(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        return self.predict_proba(pairs) > MATCH_THRESHOLD
-
-    def predict_match(self, pair: RecordPair) -> bool:
-        return self.predict_pair(pair) > MATCH_THRESHOLD

@@ -130,16 +130,10 @@ class ExplanationService:
         self._pool: ThreadPoolExecutor | None = None
         # Counters and the latency window are touched from worker (pool)
         # threads and the event-loop thread alike; one mutex serialises them.
+        # The counters are named like their ``ServeStats`` fields.
         self._stats_mutex = threading.Lock()
-        self._counters = {
-            "requests": 0,
-            "completed": 0,
-            "failed": 0,
-            "shed": 0,
-            "retried": 0,
-            "budget_deadline": 0,
-            "budget_nodes": 0,
-        }
+        self.requests = self.completed = self.failed = self.shed = 0
+        self.retried = self.budget_deadline = self.budget_nodes = 0
         self._latencies_ms: deque[float] = deque(maxlen=_LATENCY_WINDOW)
 
     # ---------------------------------------------------------------- lifecycle
@@ -215,7 +209,7 @@ class ExplanationService:
                 f"available: {sorted(self._targets)}"
             )
         with self._stats_mutex:
-            self._counters["requests"] += 1
+            self.requests += 1
         deadline_seconds = (
             request.deadline_seconds
             if request.deadline_seconds is not None
@@ -229,7 +223,7 @@ class ExplanationService:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
             with self._stats_mutex:
-                self._counters["shed"] += 1
+                self.shed += 1
             return ExplainResponse(
                 request_id=request.request_id,
                 target=request.target,
@@ -310,8 +304,8 @@ class ExplanationService:
             )
         latency = time.perf_counter() - item.admitted_at
         with self._stats_mutex:
-            self._counters["completed"] += 1
-            self._counters["retried"] += retried
+            self.completed += 1
+            self.retried += retried
             self._latencies_ms.append(latency * 1000.0)
         return ExplainResponse(
             request_id=request.request_id,
@@ -349,12 +343,12 @@ class ExplanationService:
 
     def _record_failure(self, error_type: str, budget: str, retried: int) -> None:
         with self._stats_mutex:
-            self._counters["failed"] += 1
-            self._counters["retried"] += retried
+            self.failed += 1
+            self.retried += retried
             if budget == "deadline":
-                self._counters["budget_deadline"] += 1
+                self.budget_deadline += 1
             elif budget == "lattice_nodes":
-                self._counters["budget_nodes"] += 1
+                self.budget_nodes += 1
 
     # -------------------------------------------------------------------- stats
 
@@ -362,29 +356,14 @@ class ExplanationService:
     def stats(self) -> ServeStats:
         """Immutable snapshot of the service and scheduler counters."""
         with self._stats_mutex:
-            counters = dict(self._counters)
             latencies = sorted(self._latencies_ms)
-        dispatches = coalesced = merged = deduped = 0
-        for prepared in self._targets.values():
-            scheduler = prepared.scheduler
-            dispatches += scheduler.dispatches
-            coalesced += scheduler.coalesced_dispatches
-            merged += scheduler.merged_pairs
-            deduped += scheduler.deduped_pairs
-        return ServeStats(
-            requests=counters["requests"],
-            completed=counters["completed"],
-            failed=counters["failed"],
-            shed=counters["shed"],
-            retried=counters["retried"],
-            budget_deadline=counters["budget_deadline"],
-            budget_nodes=counters["budget_nodes"],
-            dispatches=dispatches,
-            coalesced_dispatches=coalesced,
-            merged_pairs=merged,
-            deduped_pairs=deduped,
-            p50_latency_ms=_percentile(latencies, 0.50),
-            p99_latency_ms=_percentile(latencies, 0.99),
+            service = ServeStats.of(
+                self,
+                p50_latency_ms=_percentile(latencies, 0.50),
+                p99_latency_ms=_percentile(latencies, 0.99),
+            )
+        return service + ServeStats.total(
+            ServeStats.of(prepared.scheduler) for prepared in self._targets.values()
         )
 
     def engine_stats(self, target: str) -> object:

@@ -3,8 +3,8 @@
 Everything here is plain data: requests name a target and a pair, responses
 carry either a canonical JSON-serialisable explanation payload or a taxonomy
 error (never both, never a partial explanation), and
-:class:`ServeStats` is an immutable counter snapshot in the style of
-:class:`~repro.models.engine.EngineStats`.
+:class:`ServeStats` is an immutable counter snapshot on the library's one
+counter protocol, :class:`~repro.counters.Counters`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.counters import Counters
 from repro.data.records import RecordPair
 from repro.data.table import DataSource
 from repro.exceptions import AdmissionError, BudgetError, ServeError
@@ -106,14 +107,15 @@ class ExplainResponse:
 
 
 @dataclass(frozen=True)
-class ServeStats:
+class ServeStats(Counters):
     """Immutable counter snapshot of an :class:`ExplanationService`.
 
     Request counters come from the service (``requests`` admitted + shed,
     ``completed`` / ``failed`` / ``shed`` disjoint outcomes); scheduler
     counters aggregate every target's
     :class:`~repro.serve.scheduler.FrontierScheduler`.  Latency quantiles
-    are measured admission-to-response over the retained window.
+    are measured admission-to-response over the retained window; they are
+    levels, so a delta keeps the later snapshot's and a sum the larger.
     """
 
     requests: int = 0
@@ -130,23 +132,7 @@ class ServeStats:
     p50_latency_ms: float = 0.0
     p99_latency_ms: float = 0.0
 
-    def as_dict(self) -> dict[str, float | int]:
-        """Plain dictionary view for reports and benchmark JSON."""
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed": self.shed,
-            "retried": self.retried,
-            "budget_deadline": self.budget_deadline,
-            "budget_nodes": self.budget_nodes,
-            "dispatches": self.dispatches,
-            "coalesced_dispatches": self.coalesced_dispatches,
-            "merged_pairs": self.merged_pairs,
-            "deduped_pairs": self.deduped_pairs,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-        }
+    levels = frozenset({"p50_latency_ms", "p99_latency_ms"})
 
 
 def explanation_payload(explanation: "CertaExplanation") -> dict:

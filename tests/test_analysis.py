@@ -405,7 +405,7 @@ class TestRepositoryGates:
 
     def test_live_tree_is_clean(self):
         result = run_paths(
-            [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"],
+            [REPO_ROOT / name for name in ("src", "tests", "benchmarks", "examples")],
             root=REPO_ROOT,
         )
         report = "\n".join(

@@ -54,6 +54,19 @@ class TestLifecycleMutations:
         with pytest.raises(DatasetError, match="unknown record id"):
             left.remove("L99")
 
+    def test_remove_drops_one_hint_and_later_mutations_stay_in_place(self, sources):
+        left, _ = sources
+        positions = left._positions
+        left.remove("L1")
+        assert left._positions is positions and "L1" not in positions
+        order = left.ids()
+        left.update(make_record("L4", "bose speaker revised", "bose revised", "131.0"))
+        assert left.ids() == order
+        assert left.records[order.index("L4")].value("name") == "bose speaker revised"
+        assert positions["L4"] == order.index("L4")
+        left.remove("L3")
+        assert left.ids() == [record_id for record_id in order if record_id != "L3"]
+
     def test_remove_then_add_same_id(self, sources):
         left, _ = sources
         left.remove("L0")
