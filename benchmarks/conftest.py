@@ -15,10 +15,10 @@ environment variables control execution:
   ``benchmarks/results/checkpoints/benchmark_units.jsonl`` so an interrupted
   benchmark run resumes from where it stopped (delete the file, or change the
   configuration, to force a fresh sweep).
-* ``REPRO_ARTIFACT_DIR=<dir>`` — persist derived artifacts (trained matcher
-  weights, featurisation caches, per-source token indexes) to ``<dir>``; a
-  re-run in a fresh process warm-loads everything the content hashes prove
-  safe instead of retraining/rebuilding (see :mod:`repro.data.artifacts`).
+* ``REPRO_ARTIFACT_DIR=<dir>`` — persist trained matcher weights to
+  ``<dir>``; a re-run in a fresh process loads every matcher the dataset
+  fingerprint proves unchanged instead of retraining (see
+  :mod:`repro.data.artifacts`).
 
 Saliency and counterfactual rows are shared between tables through
 session-scoped fixtures (``saliency_rows`` / ``counterfactual_rows``), so the

@@ -1,26 +1,22 @@
-"""Artifact store demo: persist indexes and matchers, warm-load them back.
+"""Artifact store demo: persist a trained matcher, warm-load it back.
 
 Run with::
 
     python examples/artifact_store_demo.py
 
-A CERTA sweep pays a per-process warm-up before the first explanation: the
-support-candidate index of every source is built, matchers are trained and
-the featurisation caches fill.  The artifact store persists each of those
-structures to disk keyed by a **content hash** of exactly what it was derived
-from, so the *next* process warm-loads everything it can prove unchanged.
-This script walks the whole lifecycle in one process:
+Training a matcher is the one step of a CERTA sweep's warm-up that costs more
+to redo than to read back.  The artifact store persists trained weights keyed
+by a **dataset fingerprint** — both sources' content hashes plus every
+split — so the *next* process loads the matcher instead of retraining whenever
+training would have seen byte-identical inputs.  (Token indexes and
+featurisation caches are rebuilt in memory: at paper scale that costs
+milliseconds.)  This script walks the lifecycle in one process:
 
-1. save a dataset together with its source indexes (``save_dataset`` with an
-   ``artifact_store``);
-2. reload it as a "fresh process" would and show the index coming from disk
-   (``loads`` vs ``builds`` counters) while ranking identically to a scan;
-3. train a matcher through a store-backed ``ModelCache``, then rebuild the
-   cache and show the matcher loading instead of retraining, scores
-   byte-identical;
-4. mutate a source through the lifecycle API (``update`` / ``remove``) and
-   show the content hash invalidating the persisted index — a rebuild, never
-   a stale answer.
+1. train a matcher through a store-backed ``ModelCache``;
+2. rebuild the cache as a "fresh process" would and show the matcher loading
+   instead of retraining, with byte-identical scores;
+3. mutate a source through the lifecycle API (``update``) and show the
+   fingerprint moving, so the stale weights are not reused.
 """
 
 from __future__ import annotations
@@ -29,10 +25,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.data.artifacts import ArtifactStore
-from repro.data.blocking import top_k_neighbours
-from repro.data.indexing import get_source_index
-from repro.data.io import load_dataset, save_dataset
+from repro.data.artifacts import ArtifactStore, dataset_fingerprint
 from repro.data.registry import load_benchmark
 from repro.models.training import ModelCache
 
@@ -42,32 +35,13 @@ def main() -> None:
         store = ArtifactStore(Path(tempdir) / "artifacts")
         dataset = load_benchmark("AB", scale=0.5)
 
-        # -- 1. persist the dataset plus its derived indexes -----------------
-        dataset_dir = Path(tempdir) / "dataset"
-        save_dataset(dataset, dataset_dir, artifact_store=store)
-        print(f"saved dataset + indexes: {store.stats.index_saves} index artifacts")
-
-        # -- 2. a "fresh process" warm-loads instead of rebuilding ------------
-        reloaded = load_dataset(dataset_dir, artifact_store=store)
-        index = get_source_index(reloaded.left, 2)
-        query = reloaded.right.records[0]
-        start = time.perf_counter()
-        warm = [r.record_id for r in index.top_k(query, k=5)]
-        elapsed = time.perf_counter() - start
-        scan = [
-            r.record_id
-            for r in top_k_neighbours(query, list(reloaded.left), k=5, indexed=False)
-        ]
-        assert warm == scan, "warm-loaded ranking must equal the scan reference"
-        print(
-            f"warm index: builds={index.builds} loads={index.loads} "
-            f"first query {elapsed * 1000:.1f} ms, ranking == scan: {warm == scan}"
-        )
-
-        # -- 3. matcher weights: train once, load forever ---------------------
+        # -- 1. train once; the store persists the weights ------------------
         start = time.perf_counter()
         trained = ModelCache(fast=True, artifact_store=store).get("deepmatcher", dataset)
         train_seconds = time.perf_counter() - start
+        print(f"trained in {train_seconds:.2f}s, store counters: {store.stats.as_dict()}")
+
+        # -- 2. a "fresh process" loads instead of retraining ----------------
         start = time.perf_counter()
         loaded = ModelCache(fast=True, artifact_store=store).get("deepmatcher", dataset)
         load_seconds = time.perf_counter() - start
@@ -76,33 +50,24 @@ def main() -> None:
             trained.model.predict_proba(sample).tolist()
             == loaded.model.predict_proba(sample).tolist()
         )
+        assert identical, "a loaded matcher must score exactly like the trained one"
         print(
-            f"matcher: trained in {train_seconds:.2f}s, loaded in {load_seconds * 1000:.0f} ms, "
-            f"scores identical: {identical}"
+            f"loaded in {load_seconds * 1000:.0f} ms, scores identical: {identical}, "
+            f"model_loads={store.stats.model_loads}"
         )
 
-        # -- 4. lifecycle mutations invalidate by content ---------------------
-        victim = reloaded.left.records[0]
-        reloaded.left.update(
-            victim.replace_values({reloaded.left.schema.attributes[0]: "renamed entity"}, suffix="")
+        # -- 3. a mutation moves the fingerprint: no stale reuse -------------
+        before = dataset_fingerprint(dataset)
+        victim = dataset.left.records[0]
+        dataset.left.update(
+            victim.replace_values({dataset.left.schema.attributes[0]: "renamed entity"}, suffix="")
         )
-        refreshed = [r.record_id for r in index.top_k(query, k=5)]
-        rescan = [
-            r.record_id
-            for r in top_k_neighbours(query, list(reloaded.left), k=5, indexed=False)
-        ]
-        assert refreshed == rescan
+        assert dataset_fingerprint(dataset) != before
+        ModelCache(fast=True, artifact_store=store).get("deepmatcher", dataset)
         print(
-            f"after update(): builds={index.builds} loads={index.loads} "
-            f"(content hash moved, the stale artifact was not reused)"
+            f"after update(): fingerprint moved, model_misses={store.stats.model_misses} "
+            f"model_saves={store.stats.model_saves} (retrained, old weights untouched)"
         )
-        reloaded.left.remove(reloaded.left.records[-1].record_id)
-        assert [r.record_id for r in index.top_k(query, k=5)] == [
-            r.record_id
-            for r in top_k_neighbours(query, list(reloaded.left), k=5, indexed=False)
-        ]
-        print(f"after remove(): builds={index.builds} — every answer tracked the live data")
-        print(f"store counters: {store.stats.as_dict()}")
 
 
 if __name__ == "__main__":

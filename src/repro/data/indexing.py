@@ -32,27 +32,22 @@ stays behind it as the golden oracle and the fallback when the walk fails.
 
 Indexes are built on first use, cached on the :class:`~repro.data.table.DataSource`
 instance per ``min_token_length`` (:func:`get_source_index`), and maintained
-**incrementally**: each build records the source's ``data_version`` and
-:meth:`~repro.data.table.DataSource.content_hash`, and on the next query
+**incrementally**.  A source's records change only through its mutation API,
+which bumps ``data_version`` and journals every mutation, so an index is
+current exactly when it has seen the source's version.  On the next query
 after a mutation the index consumes the source's bounded delta log
 (:meth:`~repro.data.table.DataSource.deltas_since`) and applies the
 record-level add/update/remove deltas directly to its posting lists — a
 single-record mutation costs work proportional to that record's tokens, not
 to the source.  A full rebuild happens only when the log was truncated past
-the index's version, when replay detects any inconsistency, or when the
-content hash disagrees after replay (e.g. records were *also* replaced in
-place, bypassing the mutation API, the counter and the log).
-(``data_version`` remains a cheap fast-path hint; the hash is the authority.)
-Builds consult the source's :class:`~repro.data.artifacts.ArtifactStore`
-(explicitly attached or the process-wide ``REPRO_ARTIFACT_DIR`` store): a
-persisted index whose content hash matches is **warm-loaded** instead of
-rebuilt and counted under ``loads``, never ``builds``, so benchmark rows
-distinguish genuine rebuilds from warm starts.  :class:`IndexStats` counts
-builds, loads, queries, postings visited and candidates pruned; the counters
-surface through ``TriangleSearchResult.index_stats``,
-``CertaExplanation.index_stats`` and the eval-harness rows.
+the index's version or when replay detects an inconsistency.  Indexes live
+in memory only; building one at paper scale costs a few milliseconds.
+:class:`IndexStats` counts builds, delta applies, queries, postings visited
+and candidates pruned; the counters surface through
+``TriangleSearchResult.index_stats``, ``CertaExplanation.index_stats`` and
+the eval-harness rows.
 
-Every artifact is derived by the same public functions the scan path calls
+Every token set is derived by the same public functions the scan path calls
 (:func:`repro.data.blocking.record_blocking_tokens` semantics via
 :func:`repro.text.tokenize.tokenize`), so indexed and scanned candidate
 generation produce **identical** results — the equivalence asserted by
@@ -69,10 +64,9 @@ from typing import Iterable, Iterator, Sequence
 
 from repro import faults
 from repro.counters import Counters
-from repro.data.artifacts import ArtifactStore, default_store
 from repro.data.blocking import DEFAULT_BLOCKING_TOKEN_LENGTH
 from repro.data.records import Record, RecordPair
-from repro.data.table import DataSource, SourceDelta, combine_content_hash
+from repro.data.table import DataSource, SourceDelta
 from repro.text.tokenize import tokenize
 
 #: Interned blocking-token sets keyed by (record content text, min length).
@@ -108,13 +102,8 @@ class IndexStats(Counters):
     """Counters of one (or a sum of) :class:`SourceTokenIndex` (snapshot semantics).
 
     ``builds``
-        Full index (re)builds, including content-triggered rebuilds.  Warm
-        starts served from a persisted artifact are *not* builds — they are
-        counted under ``loads``, so rows reporting both never misreport a
-        warm start as a rebuild.
-    ``loads``
-        Index installs served from an :class:`~repro.data.artifacts.
-        ArtifactStore` instead of being rebuilt.
+        Full index (re)builds: the first build, and every rebuild after a
+        truncated delta log, a failed replay or tombstone compaction.
     ``delta_applies``
         Record-level mutations applied incrementally to the posting lists
         (one per consumed :class:`~repro.data.table.SourceDelta`); a
@@ -137,7 +126,6 @@ class IndexStats(Counters):
     """
 
     builds: int = 0
-    loads: int = 0
     delta_applies: int = 0
     queries: int = 0
     postings_visited: int = 0
@@ -223,10 +211,7 @@ class SourceTokenIndex:
     by rebuilding (cheap: token sets are content-interned).
 
     Mutations reach the index through the source's delta log (see
-    :meth:`ensure_fresh`); replay is verified by predicting the post-replay
-    content hash (:func:`repro.data.table.combine_content_hash`) and
-    comparing it against the live source's hash, so a divergence between log
-    and records can never serve stale candidates.
+    :meth:`ensure_fresh`).
 
     Thread-safety matches the library's other caches: concurrent readers may
     duplicate a deterministic rebuild but never corrupt state.
@@ -236,20 +221,13 @@ class SourceTokenIndex:
         self.source = source
         self.min_token_length = min_token_length
         self.builds = 0
-        self.loads = 0
         self.delta_applies = 0
         self.queries = 0
         self.postings_visited = 0
         self.candidates_pruned = 0
         self.degraded_queries = 0
-        self._built_hash: str | None = None
+        #: The source's ``data_version`` the index reflects (``None``: unbuilt).
         self._built_version: int | None = None
-        #: The source's validated snapshot list adopted at the last freshness
-        #: check (see :meth:`~repro.data.table.DataSource.content_state`).
-        #: The source re-snapshots whenever its own identity sweep fails, so
-        #: a single ``is`` comparison of the list object — not a sweep — is a
-        #: sound freshness fast path.  Read-only by contract.
-        self._snapshot: list[Record] | None = None
         # Slot-addressed stores (tombstoned on removal):
         self._slots: list[Record | None] = []
         self._slot_tokens: list[frozenset[str]] = []
@@ -267,61 +245,23 @@ class SourceTokenIndex:
 
     # ------------------------------------------------------------------ build
 
-    def _artifact_store(self) -> ArtifactStore | None:
-        """The persistence backend: the source's own store, else the env store."""
-        store = getattr(self.source, "artifact_store", None)
-        return store if store is not None else default_store()
-
-    def _build(self, content_hash: str) -> None:
-        """(Re)derive the index for the source's current content.
-
-        With an artifact store attached, a persisted index for this exact
-        content hash is warm-loaded (counted under ``loads``): token sets and
-        posting lists are read from the stored rows instead of re-tokenising
-        the source.  Otherwise the token sets are derived from scratch
-        (``builds``) and the result is saved back so the *next* process
-        starts warm.
-        """
+    def _build(self) -> None:
+        """(Re)derive the index from the source's current records."""
         records = sorted(self.source.records, key=lambda record: record.record_id)
-        ids = [record.record_id for record in records]
-        store = self._artifact_store()
-        if store is not None:
-            payload = store.load_source_index(content_hash, self.min_token_length, ids)
-            loaded = None if payload is None else self._decode_payload(records, payload)
-            if loaded is not None:
-                self._install(records, ids, *loaded)
-                self._built_hash = content_hash
-                self.loads += 1
-                return
         token_sets = self._derive_token_sets(records)
         postings: dict[str, list[int]] = {}
         for position, tokens in enumerate(token_sets):
             for token in tokens:
                 postings.setdefault(token, []).append(position)
-        self._install(records, ids, token_sets, postings)
-        self._built_hash = content_hash
-        self.builds += 1
-        if store is not None:
-            store.save_source_index(
-                self.source.name, content_hash, self.min_token_length,
-                ids, token_sets, postings,
-            )
-
-    def _install(
-        self,
-        records: list[Record],
-        ids: list[str],
-        token_sets: list[frozenset[str]],
-        postings: dict[str, list[int]],
-    ) -> None:
-        """Adopt a built or loaded state; slots coincide with id-order positions."""
+        # Slots start out as the id-order positions.
         self._records = records
-        self._ids = ids
+        self._ids = [record.record_id for record in records]
         self._slots = list(records)
         self._slot_tokens = token_sets
         self._id_slots = list(range(len(records)))
         self._postings = postings
         self._tombstones = 0
+        self.builds += 1
 
     def _derive_token_sets(self, records: list[Record]) -> list[frozenset[str]]:
         """Blocking-token sets for a cold build (interned below the size cap).
@@ -341,52 +281,14 @@ class SourceTokenIndex:
             for record in records
         ]
 
-    def _decode_payload(
-        self, records: list[Record], payload: dict
-    ) -> tuple[list[frozenset[str]], dict[str, list[int]]] | None:
-        """Token sets and posting lists from a persisted npz payload, or ``None``.
-
-        A small sample of records is re-derived through the live tokeniser
-        and compared against the stored arena rows: a mismatch (e.g. a
-        tokeniser change that forgot to bump the artifact schema version)
-        rejects the whole payload, so the caller rebuilds instead of
-        silently reusing stale derivations.  Otherwise each arena row (a
-        record's sorted token ids) becomes that record's token set and each
-        CSR row (a token's sorted record positions) its posting list.
-        """
-        token_table: list[str] = payload["tokens"]
-        arena_offsets = payload["arena_offsets"].tolist()
-        arena_tokens = payload["arena_tokens"].tolist()
-        lookup = token_table.__getitem__
-        token_sets = [
-            frozenset(map(lookup, arena_tokens[start:end]))
-            for start, end in zip(arena_offsets, arena_offsets[1:])
-        ]
-        minimum = self.min_token_length
-        for position in sorted({0, len(records) // 2, len(records) - 1} if records else ()):
-            expected = frozenset(
-                token for token in tokenize(records[position].as_text()) if len(token) >= minimum
-            )
-            if token_sets[position] != expected:
-                return None
-        token_offsets = payload["token_offsets"].tolist()
-        flat_postings = payload["postings"].tolist()
-        postings = {
-            token: flat_postings[token_offsets[row] : token_offsets[row + 1]]
-            for row, token in enumerate(token_table)
-        }
-        return token_sets, postings
-
     def canonical_state(self) -> tuple[list[str], list[frozenset[str]], dict[str, list[int]]]:
         """The index content in build-canonical form: ``(ids, token_sets, postings)``.
 
         ``ids`` sorted, ``token_sets`` aligned to that order, posting lists
         holding sorted *positions* into it — exactly what a fresh
         :meth:`_build` over the same records produces, independent of the
-        slot assignments accumulated by incremental maintenance.  This is
-        what persists to the artifact store (so a replayed index saves the
-        same artifact a rebuilt one would) and what the differential fuzz
-        suite compares against rebuild-from-scratch.
+        slot assignments accumulated by incremental maintenance.  The
+        differential fuzz suite compares it against rebuild-from-scratch.
         """
         slot_positions = {slot: position for position, slot in enumerate(self._id_slots)}
         postings = {
@@ -396,113 +298,35 @@ class SourceTokenIndex:
         token_sets = [self._slot_tokens[slot] for slot in self._id_slots]
         return list(self._ids), token_sets, postings
 
-    def save(self, store: ArtifactStore | None = None) -> None:
-        """Persist the current index state (building or replaying first if needed).
-
-        Builds that happen with a store attached persist automatically; this
-        explicit hook covers an index built *before* the store existed — the
-        dataset-generation path, which :func:`repro.data.io.save_dataset`
-        persists alongside the data — and an index maintained incrementally
-        since its last build (replayed deltas change ``content_hash``, so
-        the post-mutation state lands under a fresh key; artifacts for
-        superseded hashes simply never load again).  Re-saving an artifact
-        that is already on disk for this content is skipped.
-        """
-        store = store if store is not None else self._artifact_store()
-        if store is None:
-            return
-        self.ensure_fresh()
-        content_hash = self._built_hash
-        if content_hash is None or store.index_path(content_hash, self.min_token_length).exists():
-            return
-        ids, token_sets, postings = self.canonical_state()
-        store.save_source_index(
-            self.source.name, content_hash, self.min_token_length,
-            ids, token_sets, postings,
-        )
-
     def ensure_fresh(self) -> None:
-        """Apply pending deltas (or rebuild) when the source moved since last time.
+        """Bring the index up to the source's ``data_version``.
 
-        Freshness is judged by **content**, never by ``data_version`` alone:
-        replacing records in place never bumps the counter, but it does
-        change the records list, which closes the stale-index window the
-        counter left open.  The live hash and the validated snapshot come
-        from one :meth:`~repro.data.table.DataSource.content_state` call, so
-        a freshness decision costs **at most one** identity sweep (the one
-        inside the source's hash cache) — and zero for a sealed source,
-        whose hash is pinned.  Maintenance layers, cheapest first:
+        Only the source's mutation API can change its records, and every
+        mutation bumps the version and is journalled, so the version alone
+        decides freshness:
 
-        1. *identity fast path* — if the source serves the exact snapshot
-           object the index adopted at the last validation, nothing can have
-           changed (the source re-snapshots whenever its own sweep fails).
-           One pointer comparison, not a sweep of its own.
-        2. *content-equal revalidation* — an unchanged live hash means the
-           derivations stay valid whatever moved (a reorder, or an in-place
-           swap writing equal values); the index just re-points at the live
-           record objects, which may differ in identity or source tag.
-        3. *delta replay* — mutations journalled by the source since the
-           index's version are applied record-by-record to the posting
-           lists.  The replayed state's content hash is predicted additively
-           (:func:`~repro.data.table.combine_content_hash`) and compared to
-           the live source's hash: any disagreement — a truncated log, an
-           in-place mutation alongside API mutations, a log/record skew of
-           any origin — falls back to a full rebuild, so incremental
-           maintenance can be *wrong* only in cost, never in content.
-        4. *rebuild* — with no replayable deltas and changed content, the
-           index rebuilds or warm-loads from the artifact store.
+        1. *unchanged version* — nothing to do: one integer comparison.
+        2. *delta replay* — the mutations journalled since the index's
+           version are applied record-by-record to the posting lists.
+        3. *rebuild* — when the index was never built, the delta log no
+           longer reaches back to its version, a delta is inconsistent with
+           the indexed state, or tombstones outnumber live records.
         """
-        live_hash, snapshot = self._source_content_state()
-        if snapshot is self._snapshot and live_hash == self._built_hash:
+        version = self.source.data_version
+        if version == self._built_version:
             return
-        if self._built_hash is None or self._built_version is None:
-            self._build(live_hash)
-        elif live_hash == self._built_hash:
-            self._refresh_live_records(self.source.records)
-        else:
-            deltas = self._pending_deltas()
-            if deltas:
-                replayed_hash = self._replay(deltas)
-                if replayed_hash != live_hash or self._tombstones > max(
-                    64, len(self._ids)
-                ):
-                    # Divergence (stale-serving risk) or tombstone bloat
-                    # (cost risk): both compact into one clean rebuild.
-                    self._build(live_hash)
-                else:
-                    self._built_hash = live_hash
-            else:
-                self._build(live_hash)
-        self._snapshot = snapshot
-        self._built_version = getattr(self.source, "data_version", None)
+        built = self._built_version
+        deltas = None if built is None else self.source.deltas_since(built)
+        if deltas is None or not self._replay(deltas) or self._tombstones > max(64, len(self._ids)):
+            # Tombstone bloat compacts into one clean rebuild too.
+            self._build()
+        self._built_version = version
 
-    def _source_content_state(self) -> tuple[str, list[Record]]:
-        """The source's ``(content hash, validated snapshot)`` in one call.
+    def _replay(self, deltas: list[SourceDelta]) -> bool:
+        """Apply ``deltas`` to the slot stores; whether every delta applied.
 
-        Duck-typed fallback for minimal source stand-ins that expose only
-        ``content_hash``; the real :class:`~repro.data.table.DataSource`
-        answers both from the same identity sweep.
-        """
-        content_state = getattr(self.source, "content_state", None)
-        if content_state is not None:
-            return content_state()
-        return self.source.content_hash(), list(self.source.records)
-
-    def _pending_deltas(self) -> list[SourceDelta] | None:
-        """Replayable mutations since the index's version (``None`` = rebuild)."""
-        deltas_since = getattr(self.source, "deltas_since", None)
-        if deltas_since is None:
-            return None
-        return deltas_since(self._built_version)
-
-    def _replay(self, deltas: list[SourceDelta]) -> str | None:
-        """Apply ``deltas`` to the slot stores; the predicted post-replay hash.
-
-        Returns ``None`` when any delta is inconsistent with the indexed
-        state (the caller rebuilds, which also repairs any partial
-        application).  On success the predicted hash is computed additively
-        from the built hash and the deltas' record digests — O(deltas), not
-        O(records).
+        ``False`` when any delta is inconsistent with the indexed state (the
+        caller rebuilds, which also repairs any partial application).
         """
         pending = _PendingPostings(self._postings)
         try:
@@ -512,14 +336,10 @@ class SourceTokenIndex:
             # Posting-list edits were only buffered, so the dict lists are
             # untouched; the slot/id-array edits already applied are repaired
             # by the rebuild the caller now performs.
-            return None
+            return False
         pending.commit()
         self.delta_applies += len(deltas)
-        return combine_content_hash(
-            self._built_hash,
-            removed=[delta.old for delta in deltas if delta.old is not None],
-            added=[delta.new for delta in deltas if delta.new is not None],
-        )
+        return True
 
     def _apply_delta(self, delta: SourceDelta, pending: _PendingPostings) -> None:
         if delta.op == "add" and delta.new is not None:
@@ -575,13 +395,6 @@ class SourceTokenIndex:
         self._slots[slot] = new
         self._slot_tokens[slot] = new_tokens
         self._records[position] = new
-
-    def _refresh_live_records(self, records_list: list[Record]) -> None:
-        """Serve live record objects after a content-equal identity change."""
-        live_sorted = sorted(records_list, key=lambda record: record.record_id)
-        self._records = live_sorted
-        for position, record in enumerate(live_sorted):
-            self._slots[self._id_slots[position]] = record
 
     # ---------------------------------------------------------------- reading
 
@@ -867,10 +680,10 @@ def get_source_index(source: DataSource, min_token_length: int) -> SourceTokenIn
     One index per (source instance, min length) is cached on the source object
     itself, so every caller in a sweep — triangle search, blocking, candidate
     generation — shares builds and stats.  Staleness is handled inside the
-    index (delta replay, content-hash fallback); the stash itself is excluded
+    index (delta replay, rebuild fallback); the stash itself is excluded
     from pickling and deepcopy by ``DataSource.__getstate__``, so clones and
     sweep-runner worker processes start index-less instead of resurrecting a
-    heavy (and potentially stale) snapshot.
+    heavy (and potentially stale) copy.
     """
     indexes: dict[int, SourceTokenIndex] | None = getattr(source, "_token_indexes", None)
     if indexes is None:

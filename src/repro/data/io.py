@@ -9,11 +9,7 @@ public data can load it directly, while the synthetic generators in
 Saved datasets carry the content hashes of both sources in ``metadata.json``;
 :func:`load_dataset` verifies them, so silent on-disk corruption of a table
 surfaces as a :class:`~repro.exceptions.DatasetError` instead of flowing into
-experiments.  Passing an :class:`~repro.data.artifacts.ArtifactStore` to
-:func:`save_dataset` additionally persists both sources' token indexes next
-to the data, and passing one to :func:`load_dataset` attaches it to the loaded
-sources so the first candidate-generation query warm-loads instead of
-rebuilding.
+experiments.
 """
 
 from __future__ import annotations
@@ -21,16 +17,13 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.data.artifacts import atomic_writer
 from repro.data.dataset import ERDataset, PairSplit
 from repro.data.records import Record, RecordPair, Schema, pairs_from_ids
 from repro.data.table import CONTENT_HASH_VERSION, DataSource
 from repro.exceptions import DatasetError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.data.artifacts import ArtifactStore
 
 
 def write_source_csv(source: DataSource, path: str | Path, id_column: str = "id") -> Path:
@@ -104,17 +97,11 @@ def read_pairs_csv(path: str | Path, left: DataSource, right: DataSource) -> lis
     return pairs_from_ids(left_index, right_index, id_pairs)
 
 
-def save_dataset(
-    dataset: ERDataset,
-    directory: str | Path,
-    artifact_store: "ArtifactStore | None" = None,
-) -> Path:
+def save_dataset(dataset: ERDataset, directory: str | Path) -> Path:
     """Persist a dataset in the DeepMatcher benchmark directory layout.
 
     ``metadata.json`` records each table's content hash so a later load can
-    verify integrity.  With an ``artifact_store``, the store is attached to
-    both sources and their token indexes are built (if needed) and persisted
-    alongside, so a fresh process loading this dataset starts warm.
+    verify integrity.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -134,21 +121,10 @@ def save_dataset(
     }
     with atomic_writer(directory / "metadata.json") as handle:
         handle.write(json.dumps(metadata, indent=2))
-    if artifact_store is not None:
-        from repro.data.blocking import DEFAULT_BLOCKING_TOKEN_LENGTH
-        from repro.data.indexing import get_source_index
-
-        for source in (dataset.left, dataset.right):
-            source.artifact_store = artifact_store
-            get_source_index(source, DEFAULT_BLOCKING_TOKEN_LENGTH).save(artifact_store)
     return directory
 
 
-def load_dataset(
-    directory: str | Path,
-    name: str | None = None,
-    artifact_store: "ArtifactStore | None" = None,
-) -> ERDataset:
+def load_dataset(directory: str | Path, name: str | None = None) -> ERDataset:
     """Load a dataset previously written by :func:`save_dataset` (or the
     original DeepMatcher benchmark layout).
 
@@ -159,8 +135,6 @@ def load_dataset(
     ``metadata.json`` to load intentionally edited data).  Hashes recorded
     under a different ``hash_version`` (an older library release) cannot be
     compared and are skipped rather than misreported as corruption.
-    ``artifact_store`` is attached to both sources so derived structures
-    warm-load from disk.
     """
     directory = Path(directory)
     metadata_path = directory / "metadata.json"
@@ -184,9 +158,6 @@ def load_dataset(
                     f"{table}.csv in {directory} does not match the content hash recorded at "
                     f"save time; the file was modified or corrupted after save_dataset"
                 )
-    if artifact_store is not None:
-        left.artifact_store = artifact_store
-        right.artifact_store = artifact_store
     train = PairSplit("train", read_pairs_csv(directory / "train.csv", left, right))
     valid = PairSplit("valid", read_pairs_csv(directory / "valid.csv", left, right))
     test = PairSplit("test", read_pairs_csv(directory / "test.csv", left, right))

@@ -5,37 +5,33 @@ that an ER task compares.  CERTA's open-triangle search iterates over a data
 source to find support records, so the class offers fast lookup by id and
 simple sampling utilities in addition to plain iteration.
 
-Mutations (:meth:`DataSource.add` / :meth:`~DataSource.update` /
-:meth:`~DataSource.remove`) are journalled into a bounded **delta log** of
-:class:`SourceDelta` entries.  Derived structures — the inverted token index
-of :mod:`repro.data.indexing`, the featurisation caches of
-:mod:`repro.models.featurizer` — consume the log through
-:meth:`~DataSource.deltas_since` to maintain themselves incrementally instead
-of rebuilding from scratch on every mutation; when the log has been truncated
-past the version a consumer saw last, :meth:`~DataSource.deltas_since`
-returns ``None`` and the consumer falls back to a full rebuild.  The content
-hash stays the correctness authority throughout: it is additive over
-per-record digests, so the mutation API maintains it in O(1), while an
-identity check against a snapshot of ``records`` guarantees that in-place
-mutations (which bypass the API, the counter *and* the log) still force a
-full recompute.
+The source owns its records.  It copies the list it is given and exposes it
+as a read-only :class:`RecordsView`, so only :meth:`DataSource.add`,
+:meth:`~DataSource.update` and :meth:`~DataSource.remove` can change it.
+Each of them bumps :attr:`~DataSource.data_version` and journals a
+:class:`SourceDelta` in a bounded **delta log**.  Derived structures — the
+inverted token index of :mod:`repro.data.indexing`, the featurisation caches
+of :mod:`repro.models.featurizer` — consume the log through
+:meth:`~DataSource.deltas_since` to maintain themselves incrementally; when
+the log has been truncated past the version a consumer saw last,
+:meth:`~DataSource.deltas_since` returns ``None`` and the consumer rebuilds.
+The version and the log are the whole freshness contract: no edit can
+bypass them.  The content hash (:meth:`~DataSource.content_hash`) is
+computed on demand, for model-artifact keys and saved-dataset verification.
 """
 
 from __future__ import annotations
 
 import hashlib
-import operator
 import random
 from collections import Counter, deque
-from itertools import islice, repeat
+from collections.abc import Sequence
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from repro.data.records import Record, Schema
 from repro.exceptions import DatasetError, SchemaError, SealedSourceError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only (artifacts never imports us)
-    from repro.data.artifacts import ArtifactStore
 
 #: Version of the content-hash formula.  Recorded by
 #: :func:`repro.data.io.save_dataset` so a dataset saved under an older
@@ -67,27 +63,6 @@ def _schema_hash_int(schema: Schema) -> int:
 
 def _record_hash_int(record: Record) -> int:
     return (int(record.content_digest(), 16) + _COUNT_SALT) % _HASH_MODULUS
-
-
-def combine_content_hash(
-    hash_hex: str, removed: Iterable[Record], added: Iterable[Record]
-) -> str:
-    """Apply record-level deltas to an additive content hash in O(deltas).
-
-    The content hash is a sum of per-record digests (mod 2^256), so removing
-    and adding records translates to subtracting and adding their digest
-    terms — no pass over the unchanged records.  Used by
-    :class:`~repro.data.indexing.SourceTokenIndex` to predict the
-    post-replay hash of its own record set and compare it against the live
-    source's hash; a disagreement means the delta log and the records have
-    diverged and the index must rebuild.
-    """
-    total = int(hash_hex, 16)
-    for record in removed:
-        total -= _record_hash_int(record)
-    for record in added:
-        total += _record_hash_int(record)
-    return format(total % _HASH_MODULUS, "064x")
 
 
 def _record_strings(record: Record) -> tuple[str, ...]:
@@ -123,50 +98,82 @@ class SourceDelta:
     retired_values: tuple[str, ...] = ()
 
 
+class RecordsView(Sequence):
+    """Read-only view of a :class:`DataSource`'s record list.
+
+    Indexing, ``len`` and iteration delegate to the list, so reads keep list
+    speed; item assignment, ``append`` and ``del`` do not exist, so the
+    source's mutation API is the only way to change its records.
+    """
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: list[Record]) -> None:
+        self._records = records
+
+    def __getitem__(self, index):
+        return self._records[index]
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self) -> Iterator[Record]:
+        return iter(self._records)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordsView):
+            other = other._records
+        return self._records == other
+
+    def __repr__(self) -> str:
+        return f"RecordsView({self._records!r})"
+
+
 @dataclass
 class DataSource:
-    """A named table of records with a fixed schema."""
+    """A named table of records with a fixed schema.
+
+    ``records`` may be any iterable of records; the source keeps its own
+    copy and serves it back as a read-only :class:`RecordsView`.
+    """
 
     name: str
     schema: Schema
-    records: list[Record] = field(default_factory=list)
+    records: Sequence[Record] = field(default_factory=list)
     delta_log_limit: int = DEFAULT_DELTA_LOG_LIMIT
 
     def __post_init__(self) -> None:
+        #: The record list itself: only :meth:`add`, :meth:`update` and
+        #: :meth:`remove` edit it.
+        self._records: list[Record] = list(self.records)
+        self.records = RecordsView(self._records)
         self._by_id: dict[str, Record] = {}
         self._data_version = 0
-        #: Optional persistence backend for derived structures (the inverted
-        #: token index of :mod:`repro.data.indexing` warm-loads through it).
-        #: ``None`` falls back to :func:`repro.data.artifacts.default_store`.
-        self.artifact_store: "ArtifactStore | None" = None
         #: Journalled mutations, oldest first (bounded by ``delta_log_limit``).
         self._delta_log: deque[SourceDelta] = deque()
         #: value string -> number of records referencing it (see
         #: :func:`_record_strings`); drives ``retired_values`` accounting.
-        #: Built lazily on the first mutation (:meth:`_ensure_value_refs`):
+        #: Built lazily on the first mutation (:meth:`_commit_mutation`):
         #: a read-only source — a million-record table streamed in through
         #: :meth:`from_iterable` and only ever queried — never pays the
         #: refcount pass or holds the value-string map resident.
         self._value_refs: Counter[str] | None = None
-        #: ``(data_version, records snapshot, hash int)`` — the cached content
-        #: hash, validated by version *and* record identity before reuse.
-        self._hash_state: tuple[int, list[Record], int] | None = None
-        #: True once :meth:`seal` froze the source read-only.  A sealed
-        #: source's content hash is established once and served without the
-        #: per-call identity sweep, which is what makes freshness checks on
-        #: derived structures O(1) instead of O(records).
+        #: ``(data_version, hash int)`` of the last :meth:`content_hash`.
+        self._hash_state: tuple[int, int] | None = None
+        #: True once :meth:`seal` closed the mutation API.
         self._sealed = False
-        #: record id -> position in ``records``.  A hint, not an authority:
-        #: every read goes through :meth:`_position_of`, which verifies the
-        #: stored position by identity and rescans when ``records`` was
-        #: edited directly.  Keeps :meth:`update` / :meth:`remove` from
-        #: paying an equality scan over the whole list per mutation.
-        self._positions: dict[str, int] = {}
-        for position, record in enumerate(self.records):
+        #: Number of :meth:`remove` calls so far.
+        self._removes = 0
+        #: record id -> ``(position, removes)``: the record's position in the
+        #: list when the hint was written, and ``_removes`` at that time.
+        #: Keeps :meth:`update` / :meth:`remove` from scanning the whole
+        #: list (see :meth:`_position_of`).
+        self._positions: dict[str, tuple[int, int]] = {}
+        for position, record in enumerate(self._records):
             self._validate(record)
             self._by_id[record.record_id] = record
-            self._positions[record.record_id] = position
-        if len(self._by_id) != len(self.records):
+            self._positions[record.record_id] = (position, 0)
+        if len(self._by_id) != len(self._records):
             raise DatasetError(f"duplicate record ids in data source {self.name!r}")
 
     @property
@@ -174,40 +181,27 @@ class DataSource:
         """Monotonic counter bumped on every mutation through :meth:`add`,
         :meth:`update` or :meth:`remove`.
 
-        Derived structures (e.g. the inverted token index of
-        :mod:`repro.data.indexing`) use this as a cheap staleness hint, but
-        validate by :meth:`content_hash`, so even mutating ``records``
-        directly — which bypasses the counter — cannot make them serve stale
-        results.  Library code still goes through the mutation API.
+        These are the only ways to change the records, so derived structures
+        (e.g. the inverted token index of :mod:`repro.data.indexing`) are
+        current exactly when they saw this version.
         """
         return self._data_version
 
     @property
     def sealed(self) -> bool:
-        """Whether :meth:`seal` has frozen this source read-only."""
+        """Whether :meth:`seal` has closed the mutation API."""
         return self._sealed
 
     def seal(self) -> "DataSource":
-        """Freeze the source read-only and pin its content hash.
+        """Close the mutation API: the source is read-only from now on.
 
-        Establishes the content hash once (the usual full pass) and then
-        serves it — and :meth:`content_state` — in O(1): no per-call identity
-        sweep, no ``list(records)`` re-snapshot.  The trade is that every
-        subsequent mutation through :meth:`add` / :meth:`update` /
-        :meth:`remove` raises :class:`~repro.exceptions.SealedSourceError`.
-        Mutating ``records`` in place *behind* the seal breaks the read-only
-        contract exactly like it breaks record immutability — the sweep that
-        would catch it is the cost sealing removes.
-
+        Every later :meth:`add` / :meth:`update` / :meth:`remove` raises
+        :class:`~repro.exceptions.SealedSourceError`, so a serving stack can
+        share the source between threads without a mutation slipping in.
         Idempotent; returns ``self`` so call sites can chain
         (``source.seal()`` at service start-up).
         """
-        if not self._sealed:
-            # Flag first so the establishing pass stores the live list
-            # reference instead of a defensive copy — the seal guarantees
-            # no API mutation will ever edit that list again.
-            self._sealed = True
-            self.content_hash()
+        self._sealed = True
         return self
 
     def _assert_mutable(self) -> None:
@@ -223,56 +217,18 @@ class DataSource:
         Covers the schema and every record's :meth:`~repro.data.records.
         Record.content_digest` combined *additively* (a salted sum mod
         2^256), so two sources holding the same records (in any insertion
-        order) hash identically and a record-level mutation moves the hash by
-        a term computable in O(1) — which is how the mutation API keeps the
-        cached hash current without touching the unchanged records.
-
-        The cache is served only when the live ``records`` list holds the
-        exact same objects as the snapshot taken when the hash was last
-        established (one C-speed identity sweep): replacing a record *in
-        place* (bypassing :meth:`update`) fails that sweep and forces a full
-        recompute, which is what lets the token index and the artifact store
-        of :mod:`repro.data.artifacts` validate by content instead of
-        trusting the counter.  Per-record digests are cached on the immutable
-        records, so even a full recompute costs one pass over cached hex
-        strings.
+        order) hash identically.  Computed on demand and cached per
+        :attr:`data_version`; per-record digests are cached on the immutable
+        records, so a recompute costs one pass over cached hex strings.
+        Model-artifact keys (:func:`repro.data.artifacts.dataset_fingerprint`)
+        and saved-dataset verification (:mod:`repro.data.io`) read it;
+        freshness of derived structures does not.
         """
         state = self._hash_state
-        if state is not None and state[0] == self._data_version:
-            if self._sealed:
-                # Sealed: the mutation API is closed, so version equality
-                # alone proves the cached hash current — no identity sweep.
-                return format(state[2], "064x")
-            if len(state[1]) == len(self.records) and all(
-                map(operator.is_, self.records, state[1])
-            ):
-                return format(state[2], "064x")
-        total = _schema_hash_int(self.schema)
-        for record in self.records:
-            total += _record_hash_int(record)
-        total %= _HASH_MODULUS
-        # A sealed source keeps the live list itself as the snapshot (it can
-        # no longer diverge); an unsealed one pays the defensive copy.
-        snapshot = self.records if self._sealed else list(self.records)
-        self._hash_state = (self._data_version, snapshot, total)
-        return format(total, "064x")
-
-    def content_state(self) -> tuple[str, list[Record]]:
-        """Content hash *plus* the identity-validated snapshot behind it.
-
-        The single freshness primitive for derived-structure consumers
-        (:meth:`repro.data.indexing.SourceTokenIndex.ensure_fresh`): one call
-        costs at most one identity sweep (zero for sealed sources), and the
-        returned snapshot is the exact list object the hash was validated
-        against.  A consumer stores that object and compares it by ``is`` on
-        the next check — while the source serves the same snapshot object,
-        nothing can have changed, so the consumer never re-sweeps what the
-        hash cache already swept.  The snapshot must be treated as read-only.
-        """
-        hash_hex = self.content_hash()
-        state = self._hash_state
-        assert state is not None  # content_hash() always leaves a valid state
-        return hash_hex, state[1]
+        if state is None or state[0] != self._data_version:
+            total = _schema_hash_int(self.schema) + sum(map(_record_hash_int, self._records))
+            state = self._hash_state = (self._data_version, total % _HASH_MODULUS)
+        return format(state[1], "064x")
 
     def _validate(self, record: Record) -> None:
         if tuple(record.attribute_names()) != self.schema.attributes:
@@ -290,9 +246,9 @@ class DataSource:
         self._validate(record)
         if record.record_id in self._by_id:
             raise DatasetError(f"duplicate record id {record.record_id!r} in {self.name!r}")
-        self.records.append(record)
+        self._records.append(record)
         self._by_id[record.record_id] = record
-        self._positions[record.record_id] = len(self.records) - 1
+        self._positions[record.record_id] = (len(self._records) - 1, self._removes)
         self._commit_mutation("add", old=None, new=record)
 
     def update(self, record: Record) -> Record:
@@ -310,10 +266,9 @@ class DataSource:
             raise DatasetError(
                 f"cannot update unknown record id {record.record_id!r} in {self.name!r}"
             )
-        position = self._position_of(old)
-        self.records[position] = record
+        self._records[self._position_of(old)] = record
         self._by_id[record.record_id] = record
-        self._commit_mutation("update", old=old, new=record, position=position)
+        self._commit_mutation("update", old=old, new=record)
         return old
 
     def remove(self, record_id: str) -> Record:
@@ -326,81 +281,42 @@ class DataSource:
         record = self._by_id.pop(record_id, None)
         if record is None:
             raise DatasetError(f"cannot remove unknown record id {record_id!r} from {self.name!r}")
-        position = self._position_of(record)
-        del self.records[position]
-        # The hints of the records after ``position`` go stale by one; the
-        # identity check in ``_position_of`` catches that on their next use.
+        del self._records[self._position_of(record)]
         del self._positions[record_id]
-        self._commit_mutation("remove", old=record, new=None, position=position)
+        self._removes += 1
+        self._commit_mutation("remove", old=record, new=None)
         return record
 
     def _position_of(self, record: Record) -> int:
-        """The position of ``record`` (by id) in ``records``, via the hint map.
+        """The position of ``record`` in the list, found from its hint.
 
-        The stored position is trusted only when the live list still holds
-        ``record`` *itself* there.  Otherwise (a :meth:`remove` shifted it,
-        or ``records`` was edited behind the API's back) a C-speed identity
-        scan finds it and refreshes its hint; when ``record`` is not in the
-        list at all, the map is rebuilt by id before answering.
+        Adds append and updates replace in place, so a record only ever moves
+        left, by one per remove before it.  It therefore sits at most
+        ``_removes - removes`` places left of its hinted ``position``: a
+        backward identity search over that window (its top clamped to the
+        shortened list) finds it, and refreshes the hint.
         """
-        position = self._positions.get(record.record_id, -1)
-        records = self.records
-        if 0 <= position < len(records) and records[position] is record:
-            return position
-        try:
-            position = operator.indexOf(map(operator.is_, records, repeat(record)), True)
-        except ValueError:
-            pass
-        else:
-            self._positions[record.record_id] = position
-            return position
-        self._positions = {
-            entry.record_id: index for index, entry in enumerate(records)
-        }
-        try:
-            return self._positions[record.record_id]
-        except KeyError as exc:
-            raise DatasetError(
-                f"record id {record.record_id!r} not in data source {self.name!r}"
-            ) from exc
+        position, removes = self._positions[record.record_id]
+        records = self._records
+        stop = max(position - (self._removes - removes), 0) - 1
+        for index in range(min(position, len(records) - 1), stop, -1):
+            if records[index] is record:
+                self._positions[record.record_id] = (index, self._removes)
+                return index
+        raise DatasetError(f"record id {record.record_id!r} not in data source {self.name!r}")
 
-    def _commit_mutation(
-        self,
-        op: str,
-        old: Record | None,
-        new: Record | None,
-        position: int | None = None,
-    ) -> None:
-        """Version bump + hash maintenance + refcounts + delta journalling.
+    def _commit_mutation(self, op: str, old: Record | None, new: Record | None) -> None:
+        """Version bump + refcounts + delta journalling.
 
-        Called *after* ``records`` / ``_by_id`` reflect the mutation.  The
-        cached content hash is carried forward in O(1) when it was valid for
-        the pre-mutation state (version match plus identity sweep over the
-        snapshot, reversing this mutation's own list edit); any doubt drops
-        the cache and the next :meth:`content_hash` call recomputes.
-        ``position`` is the list index the mutation touched, when the caller
-        knows it — it lets the sweep run entirely at C speed.
+        Called *after* the record list and ``_by_id`` reflect the mutation.
         """
-        state = self._hash_state
-        carried: int | None = None
-        if state is not None and state[0] == self._data_version:
-            if self._snapshot_still_current(op, state[1], old, new, position):
-                carried = state[2]
-                if old is not None:
-                    carried -= _record_hash_int(old)
-                if new is not None:
-                    carried += _record_hash_int(new)
-                carried %= _HASH_MODULUS
         self._data_version += 1
-        self._hash_state = (
-            (self._data_version, list(self.records), carried) if carried is not None else None
-        )
 
         retired: tuple[str, ...] = ()
         refs = self._value_refs
         if refs is None:
-            # First mutation on a lazily-initialised source: ``records``
-            # already reflects this mutation, so the freshly built map *is*
+            # First mutation on a lazily-initialised source: the records
+            # already reflect this mutation, so the freshly built map *is*
             # the post-mutation state — retirement falls out of a membership
             # check instead of the incremental decrement below.
             refs = self._build_value_refs()
@@ -434,82 +350,9 @@ class DataSource:
     def _build_value_refs(self) -> Counter[str]:
         """Reference counts of every record's value strings (one full pass)."""
         refs: Counter[str] = Counter()
-        for record in self.records:
+        for record in self._records:
             refs.update(_record_strings(record))
         return refs
-
-    def _snapshot_still_current(
-        self,
-        op: str,
-        snapshot: list[Record],
-        old: Record | None,
-        new: Record | None,
-        position: int | None = None,
-    ) -> bool:
-        """Whether the live ``records`` equals ``snapshot`` plus this mutation.
-
-        Identity-only comparison: anything the snapshot cannot explain (an
-        in-place edit slipped in between two API mutations) fails the check,
-        so the carried hash is dropped rather than silently corrupted.  When
-        ``position`` locates the mutation's list edit, the unchanged prefix
-        and suffix are swept with ``map(operator.is_, ...)`` — no Python-level
-        loop over the records.
-        """
-        live = self.records
-        if op == "add":
-            return len(live) == len(snapshot) + 1 and live[-1] is new and all(
-                map(operator.is_, islice(live, len(snapshot)), snapshot)
-            )
-        if op == "update":
-            if len(live) != len(snapshot):
-                return False
-            if position is not None and 0 <= position < len(live):
-                return (
-                    live[position] is new
-                    and snapshot[position] is old
-                    and all(
-                        map(
-                            operator.is_,
-                            islice(live, position),
-                            islice(snapshot, position),
-                        )
-                    )
-                    and all(
-                        map(
-                            operator.is_,
-                            islice(live, position + 1, None),
-                            islice(snapshot, position + 1, None),
-                        )
-                    )
-                )
-            for live_record, snap_record in zip(live, snapshot):
-                if live_record is snap_record:
-                    continue
-                if live_record is new and snap_record is old:
-                    continue
-                return False
-            return True
-        # remove: the snapshot minus its identity occurrence of ``old``.
-        if len(live) != len(snapshot) - 1:
-            return False
-        if position is not None and 0 <= position < len(snapshot):
-            return snapshot[position] is old and all(
-                map(operator.is_, islice(live, position), islice(snapshot, position))
-            ) and all(
-                map(
-                    operator.is_,
-                    islice(live, position, None),
-                    islice(snapshot, position + 1, None),
-                )
-            )
-        shift = 0
-        for index, snap_record in enumerate(snapshot):
-            if shift == 0 and snap_record is old:
-                shift = 1
-                continue
-            if index - shift >= len(live) or live[index - shift] is not snap_record:
-                return False
-        return shift == 1
 
     # ------------------------------------------------------------- delta log
 
@@ -527,9 +370,7 @@ class DataSource:
         delta log no longer reaches back to ``version`` (or ``version`` is
         from the future) — the consumer must fall back to a full rebuild.
         Replaying the returned deltas over a structure that was consistent
-        with the source at ``version`` brings it to the current version;
-        consumers still cross-check by content hash, so a source mutated *in
-        place* (bypassing the log) can never be silently trusted.
+        with the source at ``version`` brings it to the current version.
         """
         if version == self._data_version:
             return []
@@ -567,8 +408,7 @@ class DataSource:
         ``SourceTokenIndex`` objects on the instance; serialising them into
         sweep-runner worker processes (or resurrecting stale snapshots via
         ``deepcopy``) would defeat their freshness tracking, so clones start
-        index-less and rebuild (or warm-load from the artifact store) on
-        first use.
+        index-less and rebuild on first use.
         """
         state = dict(self.__dict__)
         state.pop("_token_indexes", None)
@@ -588,14 +428,14 @@ class DataSource:
         return record_id in self._by_id
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
+        return iter(self._records)
 
     def ids(self) -> list[str]:
         """All record identifiers, in insertion order."""
-        return [record.record_id for record in self.records]
+        return [record.record_id for record in self._records]
 
     def sample(self, count: int, rng: random.Random | None = None, exclude: Iterable[str] = ()) -> list[Record]:
         """Sample up to ``count`` records uniformly at random without replacement.
@@ -605,20 +445,20 @@ class DataSource:
         """
         rng = rng or random.Random(0)
         excluded = set(exclude)
-        candidates = [record for record in self.records if record.record_id not in excluded]
+        candidates = [record for record in self._records if record.record_id not in excluded]
         if count >= len(candidates):
             return list(candidates)
         return rng.sample(candidates, count)
 
     def filter(self, predicate: Callable[[Record], bool]) -> "DataSource":
         """Return a new data source keeping only records that satisfy ``predicate``."""
-        kept = [record for record in self.records if predicate(record)]
+        kept = [record for record in self._records if predicate(record)]
         return DataSource(name=self.name, schema=self.schema, records=kept)
 
     def vocabulary(self, attribute: str | None = None) -> set[str]:
         """Distinct whitespace tokens across the source (optionally one attribute)."""
         tokens: set[str] = set()
-        for record in self.records:
+        for record in self._records:
             if attribute is None:
                 tokens.update(record.all_tokens())
             else:
@@ -628,7 +468,7 @@ class DataSource:
     def distinct_values(self, attribute: str) -> list[str]:
         """Distinct non-missing values of one attribute, in first-seen order."""
         seen: dict[str, None] = {}
-        for record in self.records:
+        for record in self._records:
             value = record.value(attribute)
             if value:
                 seen.setdefault(value, None)
@@ -637,9 +477,9 @@ class DataSource:
     def value_statistics(self) -> dict[str, dict[str, float]]:
         """Per-attribute statistics: distinct values, missing rate, mean token length."""
         stats: dict[str, dict[str, float]] = {}
-        total = max(len(self.records), 1)
+        total = max(len(self._records), 1)
         for attribute in self.schema:
-            values = [record.value(attribute) for record in self.records]
+            values = [record.value(attribute) for record in self._records]
             non_missing = [value for value in values if value]
             token_lengths = [len(value.split()) for value in non_missing]
             stats[attribute] = {
@@ -672,7 +512,7 @@ class DataSource:
         of ingestion.  Duplicate ids raise ``DatasetError`` either way.
         """
         source = cls(name=name, schema=schema, records=[], delta_log_limit=delta_log_limit)
-        stored = source.records
+        stored = source._records
         by_id = source._by_id
         positions = source._positions
         iterator = iter(records)
@@ -687,7 +527,7 @@ class DataSource:
             stored.extend(chunk)
             for offset, record in enumerate(chunk):
                 by_id[record.record_id] = record
-                positions[record.record_id] = base + offset
+                positions[record.record_id] = (base + offset, 0)
             if len(by_id) != len(stored):
                 raise DatasetError(f"duplicate record ids in data source {name!r}")
         return source

@@ -124,10 +124,9 @@ class ExperimentHarness:
     resumable sweep — the rows are identical either way.
 
     ``artifact_store`` (default: the ``REPRO_ARTIFACT_DIR`` store, if the
-    variable is set) persists derived structures across processes: trained
-    matcher weights, featurisation value caches and per-source token indexes
-    all warm-load on the next run instead of being rebuilt — every reuse
-    validated by content hash, so only provably-safe artifacts are skipped.
+    variable is set) persists trained matcher weights across processes: the
+    next run loads them instead of retraining, each reuse validated by the
+    dataset fingerprint.
     """
 
     def __init__(
@@ -152,21 +151,8 @@ class ExperimentHarness:
         """The (scaled) benchmark dataset for ``code`` (thread-safe, memoised)."""
         with self._datasets_lock:
             if code not in self._datasets:
-                dataset = load_benchmark(code, scale=self.config.dataset_scale)
-                if self.artifact_store is not None:
-                    dataset.left.artifact_store = self.artifact_store
-                    dataset.right.artifact_store = self.artifact_store
-                self._datasets[code] = dataset
+                self._datasets[code] = load_benchmark(code, scale=self.config.dataset_scale)
             return self._datasets[code]
-
-    def save_artifacts(self) -> None:
-        """Persist the featurisation caches of every trained matcher.
-
-        Indexes and weights save themselves at build/train time; the
-        featurizer caches fill during explanation workloads, so the sweep
-        runner calls this after executing work units.  No-op without a store.
-        """
-        self._model_cache.save_artifacts()
 
     def trained(self, model_name: str, code: str) -> TrainedModel:
         """A trained matcher for (model, dataset), memoised."""

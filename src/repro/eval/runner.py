@@ -26,11 +26,8 @@ the per-worker warm-up that makes process pools affordable.
 
 With ``REPRO_ARTIFACT_DIR`` set (see :mod:`repro.data.artifacts`), that
 warm-up goes through the persistent artifact store: every worker — and every
-*re-run in a fresh process* — loads trained matcher weights, featurisation
-caches and per-source token indexes from disk instead of rebuilding them,
-each reuse validated by content hash.  Workers persist their featurisation
-caches after each unit; the serial and thread executors persist once per
-sweep.
+*re-run in a fresh process* — loads trained matcher weights from disk
+instead of retraining, each reuse validated by the dataset fingerprint.
 
 Typical use::
 
@@ -346,20 +343,9 @@ def _execute_in_worker(
     deadline: float | None = None,
     backoff: float | None = None,
 ) -> UnitOutcome:
-    """Entry point executed inside a worker process.
-
-    Each completed unit also persists the worker's featurisation caches to
-    the artifact store (when one is configured): worker processes die with
-    the pool, so per-unit saves are the only point where their warm state
-    can reach disk.  Saves merge with what is already on disk and are
-    skipped while a cache hasn't grown; a simultaneous save from another
-    worker can still win the final write — that costs recomputation, never
-    correctness.
-    """
+    """Entry point executed inside a worker process."""
     harness = _worker_harness(config)
-    outcome = execute_unit(unit, harness, retries=retries, deadline=deadline, backoff=backoff)
-    harness.save_artifacts()
-    return outcome
+    return execute_unit(unit, harness, retries=retries, deadline=deadline, backoff=backoff)
 
 
 # ------------------------------------------------------------ checkpoint store
@@ -597,10 +583,6 @@ class SweepRunner:
             outcomes[outcome.unit.unit_id] = outcome
             if self.store is not None:
                 self.store.append(digest, outcome)
-        if pending and self.executor != "processes":
-            # Persist the calling harness's featurisation caches once per
-            # sweep (process-pool workers save after each unit instead).
-            harness.save_artifacts()
 
         result = SweepResult(
             outcomes=[outcomes[unit.unit_id] for unit in ordered],

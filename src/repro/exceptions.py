@@ -26,9 +26,9 @@ class DatasetError(ReproError):
 class SealedSourceError(DatasetError):
     """Raised when a mutation is attempted on a sealed (read-only) data source.
 
-    Sealing (:meth:`repro.data.table.DataSource.seal`) trades mutability for
-    O(1) freshness checks; the serving layer seals its sources so concurrent
-    explanation requests never pay the per-query identity sweep.
+    Sealing (:meth:`repro.data.table.DataSource.seal`) closes a source's
+    mutation API; the serving layer seals its sources so concurrent
+    explanation requests share data no one can change under them.
     """
 
 

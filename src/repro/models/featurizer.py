@@ -265,56 +265,6 @@ class PairComparisonCache:
         values, index = self._resolve(self._composed, keys, build)
         return np.vstack(values)[index]
 
-    def export_state(self) -> dict[str, dict]:
-        """The pairwise stores as ``{name: {"keys": [...], "values": array}}``.
-
-        Comparison vectors are uniform 7-dim rows and similarities are
-        scalars; model-specific composed vectors are grouped by width
-        (``composed_w<k>``) so families with different layouts coexist in one
-        archive.  Empty stores are omitted.
-        """
-        state: dict[str, dict] = {}
-        if self._vectors:
-            keys = list(self._vectors)
-            state["comparison_vectors"] = {
-                "keys": [list(key) for key in keys],
-                "values": np.vstack([self._vectors[key] for key in keys]),
-            }
-        if self._similarities:
-            keys = list(self._similarities)
-            state["similarities"] = {
-                "keys": [list(key) for key in keys],
-                "values": np.array([self._similarities[key] for key in keys], dtype=np.float64),
-            }
-        by_width: dict[int, list[tuple[str, str]]] = {}
-        for key, vector in self._composed.items():
-            by_width.setdefault(int(vector.shape[0]), []).append(key)
-        for width, keys in by_width.items():
-            state[f"composed_w{width}"] = {
-                "keys": [list(key) for key in keys],
-                "values": np.vstack([self._composed[key] for key in keys]),
-            }
-        return state
-
-    def import_state(self, state: dict[str, dict]) -> None:
-        """Install exported stores (existing entries win; counters untouched)."""
-        for name, block in state.items():
-            if name == "comparison_vectors":
-                target = self._vectors
-            elif name == "similarities":
-                target = self._similarities
-            elif name.startswith("composed_w"):
-                target = self._composed
-            else:
-                continue
-            values = np.asarray(block["values"])
-            for key, value in zip(block["keys"], values):
-                pair_key = (str(key[0]), str(key[1]))
-                if name == "similarities":
-                    target.setdefault(pair_key, float(value))
-                else:
-                    target.setdefault(pair_key, value)
-
     def evict(self, values) -> int:
         """Drop every pairwise entry touching any of ``values``; entries dropped.
 
@@ -430,45 +380,6 @@ class PairFeaturizer:
         for delta in deltas:
             retired.update(delta.retired_values)
         return self.evict_values(retired)
-
-    # ------------------------------------------------------------- persistence
-
-    def fingerprint(self) -> dict[str, object]:
-        """JSON-compatible identity of everything baked into cached artifacts.
-
-        Two featurizers with equal fingerprints produce byte-identical
-        artifacts for any key, so a persisted cache
-        (:meth:`~repro.data.artifacts.ArtifactStore.save_featurizer`) is
-        valid for *any* dataset — entries are content-addressed by value
-        string — but only under the exact same family and provider
-        configuration (embedding dimension/seed, vectorizer width/seed).
-        """
-
-        def describe(provider) -> dict[str, object] | None:
-            if provider is None:
-                return None
-            described: dict[str, object] = {"type": type(provider).__name__}
-            for attribute in ("dimension", "n_features", "seed"):
-                if hasattr(provider, attribute):
-                    described[attribute] = getattr(provider, attribute)
-            return described
-
-        return {
-            "family": type(self).__name__,
-            "embeddings": describe(self.values.embeddings),
-            "vectorizer": describe(self.values.vectorizer),
-        }
-
-    def export_state(self) -> dict[str, dict]:
-        """All persistable cache stores (value-level and pairwise), merged."""
-        state = self.values.export_state()
-        state.update(self.comparisons.export_state())
-        return state
-
-    def import_state(self, state: dict[str, dict]) -> None:
-        """Install a persisted state into the value and pairwise caches."""
-        self.values.import_state(state)
-        self.comparisons.import_state(state)
 
     def reset_stats(self) -> None:
         """Zero all counters (cached artifacts are left intact)."""

@@ -103,10 +103,9 @@ class ModelCache:
     or via ``REPRO_ARTIFACT_DIR``), a matcher trained in *any* earlier
     process on byte-identical inputs — validated through
     :func:`~repro.data.artifacts.dataset_fingerprint`, which hashes both
-    sources' content and every split — is warm-loaded instead of retrained,
-    and its featurisation caches are pre-seeded from the persisted value
-    caches.  Training is deterministic, so a loaded matcher scores exactly
-    like a freshly trained one (the equivalence pinned by
+    sources' content and every split — is warm-loaded instead of retrained.
+    Training is deterministic, so a loaded matcher scores exactly like a
+    freshly trained one (the equivalence pinned by
     ``tests/test_artifact_store.py``).
     """
 
@@ -169,8 +168,10 @@ class ModelCache:
         """A persisted trained matcher for this exact (model, data) input, or None.
 
         Any validation or deserialisation failure degrades to retraining —
-        a skewed or corrupt model artifact is never trusted.  A successful
-        load also warms the model's featurisation caches from the store.
+        a skewed or corrupt model artifact is never trusted.  A directory
+        whose ``trained.json`` validated but whose weights, config or
+        metadata fail to load is corrupt: it is quarantined, so the retrain
+        writes a clean directory and the bad bytes stay diagnosable.
         """
         from repro.models.persistence import load_model  # local: persistence imports us
 
@@ -184,12 +185,10 @@ class ModelCache:
             test_metrics = {
                 str(name): float(value) for name, value in metadata["test_metrics"].items()
             }
-        except Exception:  # repro-lint: disable=EXC002 -- recovery contract: any load/deserialisation failure (corrupt weights, skewed metadata) degrades to retraining; a persisted model is never trusted over a rebuild
+        except Exception:  # repro-lint: disable=EXC002 -- recovery contract: any load/deserialisation failure (corrupt weights, skewed metadata) quarantines the directory and degrades to retraining; a persisted model is never trusted over a rebuild
+            store._quarantine(directory)
             return None
         model.training_report = report
-        featurizer = getattr(model, "_featurizer", None)
-        if featurizer is not None:
-            store.warm_featurizer(featurizer)
         return TrainedModel(model=model, report=report, test_metrics=test_metrics)
 
     def _save_trained(
@@ -216,33 +215,6 @@ class ModelCache:
         # costs the persisted weights, never the freshly trained model.
         if store._guarded_write(persist):
             store.model_saves += 1
-
-    def save_artifacts(self) -> None:
-        """Persist the featurisation caches of every trained matcher.
-
-        Weights are saved at training time; the featurizer value caches fill
-        *during* explanation workloads, so the harness / sweep runner calls
-        this after executing work units.  A no-op without a store.
-        """
-        store = self._resolve_store()
-        if store is None:
-            return
-        with self._lock:
-            trained_models = list(self._cache.values())
-        for trained in trained_models:
-            featurizer = getattr(trained.model, "_featurizer", None)
-            if featurizer is None:
-                continue
-            sizes = (featurizer.values.size(), featurizer.comparisons.size())
-            if sizes == (0, 0):
-                continue
-            # Re-saving an unchanged cache would re-read, merge and rewrite
-            # the whole archive for nothing — a real cost when workers call
-            # this after every unit; skip until the cache actually grew.
-            if getattr(featurizer, "_persisted_sizes", None) == sizes:
-                continue
-            store.save_featurizer(featurizer)
-            featurizer._persisted_sizes = sizes
 
     def clear(self) -> None:
         """Drop all cached models."""

@@ -2,8 +2,8 @@
 
 :class:`ExplanationService` is the front door of :mod:`repro.serve`.  It owns
 one warm stack per :class:`~repro.serve.types.ServeTarget` — the sources
-sealed (:meth:`~repro.data.table.DataSource.seal`, making every per-query
-freshness check O(1)), the token indexes built, one thread-safe
+sealed (:meth:`~repro.data.table.DataSource.seal`, so no request can mutate
+them), the token indexes built, one thread-safe
 :class:`~repro.models.engine.PredictionEngine` and one
 :class:`~repro.serve.scheduler.FrontierScheduler` shared by all requests of
 that target — and runs requests through a bounded pipeline::
@@ -91,7 +91,7 @@ class ExplanationService:
     Parameters default to the ``REPRO_SERVE_*`` environment knobs; pass
     explicit values to override.  ``seal_sources=True`` (the default) seals
     every target's sources at start-up — the serving contract is read-only
-    data, and sealing makes each request's index freshness check O(1).  Use
+    data, and sealing enforces it: a mutation raises ``SealedSourceError``.  Use
     as an async context manager, or call :meth:`start` / :meth:`stop`.
     """
 

@@ -127,41 +127,6 @@ class ValueFeatureCache:
         self._vectors[text] = vector
         return vector
 
-    def export_state(self) -> dict[str, dict]:
-        """The persistable stores as ``{name: {"keys": [...], "values": matrix}}``.
-
-        Only the *expensive* artifact kinds are exported: embeddings and
-        hashed vectors (dense float arrays that round-trip exactly through
-        ``.npz``).  Token-level :class:`ValueFeatures` are cheap, pure
-        re-derivations of the value string, so a warm-loaded cache simply
-        recomputes them on demand — byte-identically.  Empty stores are
-        omitted.
-        """
-        state: dict[str, dict] = {}
-        if self._embeddings:
-            keys = list(self._embeddings)
-            state["embeddings"] = {
-                "keys": keys,
-                "values": np.vstack([self._embeddings[key] for key in keys]),
-            }
-        if self._vectors:
-            keys = list(self._vectors)
-            state["vectors"] = {
-                "keys": keys,
-                "values": np.vstack([self._vectors[key] for key in keys]),
-            }
-        return state
-
-    def import_state(self, state: dict[str, dict]) -> None:
-        """Install exported stores (existing entries win; counters untouched)."""
-        for name, target in (("embeddings", self._embeddings), ("vectors", self._vectors)):
-            block = state.get(name)
-            if block is None:
-                continue
-            values = np.asarray(block["values"])
-            for key, row in zip(block["keys"], values):
-                target.setdefault(str(key), row)
-
     def evict(self, values) -> int:
         """Drop the entries interned for ``values``; the number of entries dropped.
 

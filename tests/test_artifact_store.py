@@ -1,11 +1,10 @@
 """Property-style tests for the persistent artifact store (repro.data.artifacts).
 
-The contract: a warm-loaded artifact is **byte-equivalent** to the structure a
-fresh build would have produced — for token indexes (ranking, blocking,
-triangle search, full CERTA explanations), featurizer caches (feature
-matrices) and trained matchers (scores) — and any artifact that cannot be
-*proved* safe (corrupt, truncated, version-skewed, content-mismatched) is
-silently rebuilt, never silently reused.
+The contract: a warm-loaded trained matcher scores **byte-identically** to
+the one training produced, and any model artifact that cannot be *proved*
+safe (corrupt, truncated, version-skewed, fingerprint-mismatched) is
+retrained, never silently reused.  Saved datasets round-trip through
+``save_dataset`` / ``load_dataset`` with their content hashes verified.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.certa.explainer import CertaExplainer
 from repro.data import artifacts as artifacts_module
 from repro.data.artifacts import (
     ARTIFACT_DIR_ENV,
@@ -23,13 +21,13 @@ from repro.data.artifacts import (
     dataset_fingerprint,
     default_store,
 )
-from repro.data.blocking import token_blocking, top_k_neighbours
-from repro.data.indexing import _TOKEN_SET_CACHE, get_source_index
+from repro.data.blocking import top_k_neighbours
+from repro.data.indexing import get_source_index
 from repro.data.io import load_dataset, save_dataset
 from repro.models import training as training_module
 from repro.models.training import ModelCache
 
-from tests.helpers import SimilarityModel, make_record, toy_dataset, toy_pairs, toy_sources
+from tests.helpers import make_record, toy_dataset
 
 
 @pytest.fixture()
@@ -37,243 +35,8 @@ def store(tmp_path):
     return ArtifactStore(tmp_path / "artifacts")
 
 
-def _fresh_sources(store=None):
-    left, right = toy_sources()
-    if store is not None:
-        left.artifact_store = store
-        right.artifact_store = store
-    return left, right
-
-
 def _scan_ids(query, source, k=None):
     return [r.record_id for r in top_k_neighbours(query, list(source), k=k, indexed=False)]
-
-
-class TestIndexRoundTrip:
-    def test_loaded_index_counts_a_load_not_a_build(self, store):
-        left, right = _fresh_sources(store)
-        query = right.get("R0")
-        built = [r.record_id for r in get_source_index(left, 2).top_k(query, k=None)]
-
-        left2, _ = _fresh_sources(store)
-        _TOKEN_SET_CACHE.clear()
-        index = get_source_index(left2, 2)
-        loaded = [r.record_id for r in index.top_k(query, k=None)]
-        assert (index.builds, index.loads) == (0, 1)
-        assert loaded == built == _scan_ids(query, left2)
-
-    def test_loaded_index_serves_blocking_identically(self, store):
-        left, right = _fresh_sources(store)
-        reference = token_blocking(left, right, indexed=True)
-        assert store.stats.index_saves == 2
-
-        left2, right2 = _fresh_sources(store)
-        _TOKEN_SET_CACHE.clear()
-        warm = token_blocking(left2, right2, indexed=True)
-        scanned = token_blocking(left2, right2, indexed=False)
-        assert warm.pairs == reference.pairs == scanned.pairs
-        assert store.stats.index_loads == 2
-
-    def test_mutated_source_invalidates_the_artifact(self, store):
-        left, right = _fresh_sources(store)
-        query = right.get("R0")
-        get_source_index(left, 2).top_k(query, k=3)
-
-        left2, _ = _fresh_sources(store)
-        left2.add(make_record("L9", "brand new unseen gadget", "totally new gadget", "5.00"))
-        index = get_source_index(left2, 2)
-        result = [r.record_id for r in index.top_k(query, k=None)]
-        assert (index.builds, index.loads) == (1, 0)  # content moved: no reuse
-        assert result == _scan_ids(query, left2)
-        # ... and the rebuild persisted an artifact for the *new* content.
-        assert store.index_path(left2.content_hash(), 2).exists()
-
-    def test_in_place_mutation_never_reuses_the_artifact(self, store):
-        """Bypassing the mutation API entirely still invalidates by content."""
-        left, right = _fresh_sources(store)
-        query = right.get("R0")
-        get_source_index(left, 2).top_k(query, k=3)
-
-        left2, _ = _fresh_sources(store)
-        left2.records[0] = make_record("L0", "replaced in place", "replaced content", "1.00")
-        index = get_source_index(left2, 2)
-        result = [r.record_id for r in index.top_k(query, k=None)]
-        assert index.loads == 0
-        assert result == _scan_ids(query, left2)
-
-
-def _rewrite_npz(path, mutate):
-    """Load an npz artifact, apply ``mutate(arrays)``, and write it back."""
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    mutate(arrays)
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
-
-
-def _rewrite_manifest(arrays, change):
-    manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
-    change(manifest)
-    arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
-
-
-def _corrupt_truncate(path):
-    path.write_bytes(path.read_bytes()[: max(1, path.stat().st_size // 2)])
-
-
-def _corrupt_garbage(path):
-    path.write_bytes(b"\x00garbage\xff" * 64)
-
-
-def _corrupt_schema_version(path):
-    _rewrite_npz(
-        path,
-        lambda arrays: _rewrite_manifest(
-            arrays, lambda manifest: manifest.update(schema_version=manifest["schema_version"] + 1)
-        ),
-    )
-
-
-def _corrupt_content_hash(path):
-    _rewrite_npz(
-        path,
-        lambda arrays: _rewrite_manifest(
-            arrays, lambda manifest: manifest.update(content_hash="0" * len(manifest["content_hash"]))
-        ),
-    )
-
-
-def _corrupt_token_payload(path):
-    """Structurally valid, right hash, wrong derivations — the spot-check must catch it."""
-
-    def mutate(arrays):
-        blob = bytes(arrays["token_blob"]).decode("utf-8")
-        mangled = "\n".join(token + "x" for token in blob.split("\n"))
-        arrays["token_blob"] = np.frombuffer(mangled.encode("utf-8"), dtype=np.uint8)
-
-    _rewrite_npz(path, mutate)
-
-
-def _corrupt_dropped_record(path):
-    def mutate(arrays):
-        arrays["arena_offsets"] = arrays["arena_offsets"][:-1].copy()
-
-    _rewrite_npz(path, mutate)
-
-
-def _corrupt_posting_out_of_range(path):
-    def mutate(arrays):
-        postings = arrays["postings"].copy()
-        record_count = json.loads(bytes(arrays["manifest"]).decode("utf-8"))["record_count"]
-        postings[0] = record_count + 7
-        arrays["postings"] = postings
-
-    _rewrite_npz(path, mutate)
-
-
-def _corrupt_unsorted_row(path):
-    def mutate(arrays):
-        postings = arrays["postings"].copy()
-        token_offsets = arrays["token_offsets"]
-        # Reverse the first posting row with more than one entry.
-        lengths = np.diff(token_offsets)
-        rows = np.nonzero(lengths > 1)[0]
-        row = int(rows[0])
-        first, last = int(token_offsets[row]), int(token_offsets[row + 1])
-        postings[first:last] = postings[first:last][::-1]
-        arrays["postings"] = postings
-
-    _rewrite_npz(path, mutate)
-
-
-CORRUPTIONS = {
-    "truncated": _corrupt_truncate,
-    "garbage_bytes": _corrupt_garbage,
-    "schema_version_skew": _corrupt_schema_version,
-    "content_hash_mismatch": _corrupt_content_hash,
-    "wrong_derivations": _corrupt_token_payload,
-    "dropped_record": _corrupt_dropped_record,
-    "posting_out_of_range": _corrupt_posting_out_of_range,
-    "unsorted_posting_row": _corrupt_unsorted_row,
-}
-
-
-class TestIndexCorruption:
-    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS), ids=sorted(CORRUPTIONS))
-    def test_damaged_artifact_rebuilds_and_stays_correct(self, store, corruption):
-        """save → corrupt → load: graceful rebuild, never silent reuse."""
-        left, right = _fresh_sources(store)
-        query = right.get("R0")
-        get_source_index(left, 2).top_k(query, k=3)
-        path = store.index_path(left.content_hash(), 2)
-        assert path.exists()
-        CORRUPTIONS[corruption](path)
-
-        left2, _ = _fresh_sources(store)
-        _TOKEN_SET_CACHE.clear()
-        index = get_source_index(left2, 2)
-        result = [r.record_id for r in index.top_k(query, k=None)]
-        assert index.loads == 0, f"{corruption}: damaged artifact was silently reused"
-        assert index.builds == 1
-        assert result == _scan_ids(query, left2)
-
-    def test_missing_artifact_directory_is_a_plain_cold_start(self, tmp_path):
-        store = ArtifactStore(tmp_path / "never-created")
-        left, right = _fresh_sources(store)
-        index = get_source_index(left, 2)
-        index.top_k(right.get("R0"), k=3)
-        assert (index.builds, index.loads) == (1, 0)
-
-
-class TestFeaturizerRoundTrip:
-    def _featurize_workload(self, model, pairs):
-        return model.featurize(pairs)
-
-    def test_warm_cache_produces_byte_identical_matrices(self, store, ab_dataset, trained_deepmatcher):
-        pairs = ab_dataset.test.pairs[:8]
-        model = trained_deepmatcher.model
-        fresh = self._featurize_workload(model, pairs)
-        store.save_featurizer(model._featurizer)
-
-        from repro.models.training import make_model
-
-        twin = make_model("deepmatcher")
-        assert store.warm_featurizer(twin._featurizer)
-        twin._classifier = model._classifier  # weights irrelevant to featurisation
-        warm = self._featurize_workload(twin, pairs)
-        assert np.array_equal(fresh, warm)
-        stats = twin._featurizer.stats
-        assert stats.comparison_hits > 0 and stats.comparison_misses == 0
-
-    def test_fingerprint_mismatch_is_a_miss(self, store, trained_deepmatcher):
-        store.save_featurizer(trained_deepmatcher.model._featurizer)
-
-        from repro.models.training import make_model
-
-        other_seed = make_model("deepmatcher", seed=99)
-        assert not store.warm_featurizer(other_seed._featurizer)
-        other_family = make_model("ditto")
-        assert not store.warm_featurizer(other_family._featurizer)
-        assert store.stats.featurizer_misses == 2
-
-    def test_merge_on_save_unions_entries(self, store, ab_dataset, trained_deepmatcher):
-        model = trained_deepmatcher.model
-        first_batch, second_batch = ab_dataset.test.pairs[:4], ab_dataset.test.pairs[4:8]
-        model.clear_featurizer_cache()
-        model.featurize(first_batch)
-        store.save_featurizer(model._featurizer)
-        model.clear_featurizer_cache()
-        model.featurize(second_batch)
-        store.save_featurizer(model._featurizer)
-
-        from repro.models.training import make_model
-
-        twin = make_model("deepmatcher")
-        assert store.warm_featurizer(twin._featurizer)
-        twin._classifier = model._classifier
-        twin.featurize(first_batch + second_batch)
-        stats = twin._featurizer.stats
-        assert stats.comparison_misses == 0  # both batches' entries survived the merge
 
 
 class TestTrainedModelRoundTrip:
@@ -339,20 +102,35 @@ class TestTrainedModelRoundTrip:
         assert trained.model.is_fitted
         assert store.stats.model_saves == 2  # the retrain re-persisted the artifact
 
+    def test_unloadable_weights_are_quarantined_and_retrained(self, store):
+        """``trained.json`` validates but the weights do not load: the
+        directory is moved aside as evidence, never silently overwritten."""
+        dataset = toy_dataset()
+        first = ModelCache(fast=True, artifact_store=store).get("classical", dataset)
+        directory = store.model_dir("classical", True, dataset_fingerprint(dataset))
+        (directory / "weights.npz").write_bytes(b"\x00not an npz archive")
+        second = ModelCache(fast=True, artifact_store=store).get("classical", dataset)
+        pairs = dataset.test.pairs
+        assert np.array_equal(second.model.predict_proba(pairs), first.model.predict_proba(pairs))
+        assert store.stats.quarantined == 1
+        (evidence,) = directory.parent.glob(f"{directory.name}.corrupt-*")
+        assert (evidence / "weights.npz").read_bytes() == b"\x00not an npz archive"
+        assert (directory / "trained.json").exists()  # the retrain wrote a clean artifact
+
 
 class TestDatasetWiring:
-    def test_save_load_dataset_round_trip_warm_loads(self, store, tmp_path):
+    def test_save_load_dataset_round_trip_warm_loads(self, tmp_path):
         dataset = toy_dataset()
-        save_dataset(dataset, tmp_path / "ds", artifact_store=store)
-        assert store.stats.index_saves == 2  # both sources persisted at save time
-
-        _TOKEN_SET_CACHE.clear()
-        loaded = load_dataset(tmp_path / "ds", artifact_store=store)
+        save_dataset(dataset, tmp_path / "ds")
+        loaded = load_dataset(tmp_path / "ds")
+        for original, reloaded in ((dataset.left, loaded.left), (dataset.right, loaded.right)):
+            assert reloaded.ids() == original.ids()
+            assert reloaded.content_hash() == original.content_hash()
+        assert dataset_fingerprint(loaded) == dataset_fingerprint(dataset)
         index = get_source_index(loaded.left, 2)
         query = loaded.right.get("R0")
-        result = [r.record_id for r in index.top_k(query, k=None)]
-        assert (index.builds, index.loads) == (0, 1)
-        assert result == _scan_ids(query, loaded.left)
+        assert [r.record_id for r in index.top_k(query, k=None)] == _scan_ids(query, loaded.left)
+        assert index.builds == 1
 
     def test_tampered_table_fails_hash_verification(self, store, tmp_path):
         save_dataset(toy_dataset(), tmp_path / "ds")
@@ -376,47 +154,12 @@ class TestDatasetWiring:
         assert "pony bravia theater" in {r.value("name") for r in loaded.left}
 
 
-class TestEndToEndExplanationEquivalence:
-    def test_certa_explanations_identical_on_loaded_artifacts(self, store):
-        """Full CERTA explanations: warm-loaded == freshly built == scan."""
-        model = SimilarityModel()
-        left, right = _fresh_sources(store)
-        pairs = toy_pairs(left, right)
-        built_explainer = CertaExplainer(model, left, right, num_triangles=8, seed=0, indexed=True)
-        built = [built_explainer.explain_full(pair) for pair in (pairs[0], pairs[-2])]
-        assert store.stats.index_saves == 2
-
-        _TOKEN_SET_CACHE.clear()
-        left2, right2 = _fresh_sources(store)
-        pairs2 = toy_pairs(left2, right2)
-        warm_explainer = CertaExplainer(model, left2, right2, num_triangles=8, seed=0, indexed=True)
-        scan_explainer = CertaExplainer(model, left2, right2, num_triangles=8, seed=0, indexed=False)
-        for pair, reference in zip((pairs2[0], pairs2[-2]), built):
-            warm = warm_explainer.explain_full(pair)
-            scanned = scan_explainer.explain_full(pair)
-            assert warm.saliency.scores == reference.saliency.scores == scanned.saliency.scores
-            assert (
-                warm.counterfactual.attribute_set
-                == reference.counterfactual.attribute_set
-                == scanned.counterfactual.attribute_set
-            )
-            assert warm.flips == reference.flips == scanned.flips
-            assert warm.triangles_used == reference.triangles_used
-        assert store.stats.index_loads == 2
-        warm_stats = get_source_index(left2, 2).stats
-        assert warm_stats.builds == 0 and warm_stats.loads == 1
-
-
 class TestStoreInfrastructure:
     def test_stats_as_dict_round_trip(self, store):
-        store.index_loads, store.model_saves = 3, 2
+        store.model_loads, store.model_saves = 3, 2
         view = store.stats.as_dict()
-        assert view["index_loads"] == 3 and view["model_saves"] == 2
-        assert set(view) == {
-            "index_loads", "index_saves", "index_misses",
-            "featurizer_loads", "featurizer_saves", "featurizer_misses",
-            "model_loads", "model_saves", "model_misses", "quarantined",
-        }
+        assert view["model_loads"] == 3 and view["model_saves"] == 2
+        assert set(view) == {"model_loads", "model_saves", "model_misses", "quarantined"}
 
     def test_default_store_reads_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ARTIFACT_DIR_ENV, raising=False)
@@ -431,31 +174,7 @@ class TestStoreInfrastructure:
             artifacts_module._DEFAULT_STORES.clear()
 
     def test_atomic_writes_leave_no_temp_files(self, store):
-        left, right = _fresh_sources(store)
-        get_source_index(left, 2).top_k(right.get("R0"), k=2)
+        ModelCache(fast=True, artifact_store=store).get("classical", toy_dataset())
+        assert store.stats.model_saves == 1
         leftovers = [path for path in store.directory.rglob(".*") if path.is_file()]
         assert leftovers == []
-
-
-def test_merged_state_key_order_is_insertion_independent():
-    """Regression: merged featurizer states must order keys deterministically.
-
-    The merged dict's key order becomes the member order of the persisted npz
-    archive; when the merge iterated a raw set union, two processes holding
-    the same blocks in different insertion orders could write byte-different
-    archives for identical cache contents.
-    """
-
-    def block(key, value):
-        return {"keys": [key], "values": np.asarray([[value]], dtype=np.float64)}
-
-    blocks = {name: block(f"{name}-key", float(index)) for index, name in enumerate("dbca")}
-    forward = dict(sorted(blocks.items()))
-    backward = dict(sorted(blocks.items(), reverse=True))
-    extra = {"e": block("e-key", 9.0)}
-
-    merged_forward = artifacts_module._merge_featurizer_states(forward, extra)
-    merged_backward = artifacts_module._merge_featurizer_states(backward, extra)
-
-    assert list(merged_forward) == sorted([*blocks, "e"])
-    assert list(merged_forward) == list(merged_backward)

@@ -14,8 +14,8 @@ answer while the world misbehaves.  Every scenario follows one template:
 Covered faults: transient work-unit errors (retry + backoff), per-unit
 deadline overruns, a ``SIGKILL``-ed process-pool worker (pool respawn +
 requeue), a real subprocess killed mid-checkpoint-append (torn-line resume),
-corrupted artifact bytes (quarantine + rebuild), ``ENOSPC`` during artifact
-writes (degrade-to-memory), flaky model invocations (retry + poison-row
+corrupted model-artifact bytes (quarantine + retrain), ``ENOSPC`` during
+model-artifact writes (degrade-to-memory), flaky model invocations (retry + poison-row
 bisection) and dict-walk index failures (degradation to the reference
 scan).
 
@@ -40,7 +40,7 @@ import pytest
 from repro import env, faults
 from repro.data.artifacts import ArtifactStore, write_atomic_npz, write_atomic_text
 from repro.data.blocking import top_k_neighbours
-from repro.data.indexing import _TOKEN_SET_CACHE, get_source_index
+from repro.data.indexing import get_source_index
 from repro.eval.harness import ExperimentHarness, HarnessConfig
 from repro.eval.runner import (
     SweepRunner,
@@ -51,8 +51,9 @@ from repro.eval.runner import (
 from repro.exceptions import EvaluationError, ModelError, is_transient
 from repro.faults import FaultPlan, FaultPlanError, FaultRule, InjectedFault
 from repro.models.engine import PredictionEngine
+from repro.models.training import ModelCache
 
-from tests.helpers import SimilarityModel, toy_pairs, toy_sources
+from tests.helpers import SimilarityModel, toy_dataset, toy_pairs, toy_sources
 from tests.test_datasource_fuzz import _run_sequence
 
 #: The CI chaos matrix sets this to run the whole file under distinct seeds.
@@ -171,58 +172,49 @@ class TestFaultPlanMechanics:
 # -------------------------------------------------------------- artifact store
 
 
-def _fresh_sources(store):
-    left, right = toy_sources()
-    left.artifact_store = store
-    right.artifact_store = store
-    return left, right
-
-
-def _scan_ids(query, source):
-    return [r.record_id for r in top_k_neighbours(query, list(source), k=None, indexed=False)]
+def _cached_classical(store, dataset):
+    """``classical`` on ``dataset`` through a fresh store-backed model cache."""
+    return ModelCache(fast=True, artifact_store=store).get("classical", dataset)
 
 
 class TestArtifactChaos:
     def test_corrupt_write_is_quarantined_then_rebuilt(self, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")
-        left, right = _fresh_sources(store)
-        query = right.get("R0")
+        dataset = toy_dataset()
+        pairs = dataset.test.pairs
+        # The first artifact write of a model save is its weights file.
         faults.install_plan(plan(FaultRule(scope="artifact.write", kind="corrupt")))
-        reference = [r.record_id for r in get_source_index(left, 2).top_k(query, k=None)]
-        assert reference == _scan_ids(query, left)  # corruption is on disk only
+        reference = _cached_classical(store, dataset).model.predict_proba(pairs)
         faults.clear_plan()
 
-        left2, _ = _fresh_sources(store)
-        _TOKEN_SET_CACHE.clear()
-        index = get_source_index(left2, 2)
-        rebuilt = [r.record_id for r in index.top_k(query, k=None)]
-        assert rebuilt == reference
-        assert (index.builds, index.loads) == (1, 0)  # poisoned artifact refused
+        retrained = _cached_classical(store, dataset)
+        assert np.array_equal(retrained.model.predict_proba(pairs), reference)
+        assert (store.model_loads, store.model_saves) == (0, 2)  # poisoned artifact refused
         assert store.quarantined == 1
         assert list(store.directory.glob("**/*.corrupt-*")), "evidence file missing"
-        # The rebuild re-saved a clean artifact: a third consumer warm-loads.
-        left3, _ = _fresh_sources(store)
-        _TOKEN_SET_CACHE.clear()
-        index3 = get_source_index(left3, 2)
-        assert [r.record_id for r in index3.top_k(query, k=None)] == reference
-        assert (index3.builds, index3.loads) == (0, 1)
+        # The retrain re-saved a clean artifact: a third cache warm-loads.
+        loaded = _cached_classical(store, dataset)
+        assert np.array_equal(loaded.model.predict_proba(pairs), reference)
+        assert (store.model_loads, store.model_saves) == (1, 2)
 
     def test_enospc_degrades_to_memory_with_one_warning(self, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")
-        left, right = _fresh_sources(store)
-        query = right.get("R0")
+        dataset = toy_dataset()
         faults.install_plan(
             plan(FaultRule(scope="artifact.write", errno_code=errno.ENOSPC, times=0))
         )
-        with pytest.warns(RuntimeWarning, match="continuing memory-only"):
-            reference = [r.record_id for r in get_source_index(left, 2).top_k(query, k=None)]
-        assert reference == _scan_ids(query, left)
+        with pytest.warns(RuntimeWarning, match="continuing memory-only") as caught:
+            trained = _cached_classical(store, dataset)
+        assert len(caught) == 1
+        assert trained.model.is_fitted
         assert store.persistence_disabled
-        assert not list(store.directory.glob("indexes/*.npz"))
+        assert store.model_saves == 0
+        assert not list(store.directory.glob("models/*/weights.npz"))
         # Later saves are silent no-ops: no second warning, no exception.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            get_source_index(right, 2).top_k(left.get("L0"), k=None)
+            assert _cached_classical(store, dataset).model.is_fitted
+        assert store.model_saves == 0
 
     def test_atomic_writers_fsync_before_rename(self, tmp_path, monkeypatch):
         synced: list[int] = []
@@ -308,6 +300,10 @@ class TestEngineChaos:
 
 
 # -------------------------------------------------------------- index fallback
+
+
+def _scan_ids(query, source):
+    return [r.record_id for r in top_k_neighbours(query, list(source), k=None, indexed=False)]
 
 
 class TestIndexDegradation:

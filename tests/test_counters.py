@@ -4,7 +4,7 @@ Every ``*Stats`` snapshot class inherits its ``+``, ``-`` and ``as_dict``
 from :class:`~repro.counters.Counters`.  For each of them: a sum followed by
 a delta gives back the counts, level fields follow their rule (a sum takes
 the larger value, a delta keeps the later one), and ``as_dict`` returns the
-keys the classes returned when each wrote its own.
+class's pinned keys.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.models.engine import EngineStats
 from repro.models.featurizer import FeaturizerStats
 from repro.serve.types import ServeStats
 
-#: Each class's ``as_dict`` keys as they stood before the shared protocol.
+#: Each class's ``as_dict`` keys.  Rows, reports and perfbench read them.
 AS_DICT_KEYS = {
     EngineStats: {
         "requests", "hits", "misses", "batches", "max_batch", "retries", "hit_rate",
@@ -33,7 +33,7 @@ AS_DICT_KEYS = {
         "comparison_hits", "comparison_misses", "comparison_hit_rate", "rows_built",
     },
     IndexStats: {
-        "index_builds", "index_loads", "index_delta_applies", "index_queries",
+        "index_builds", "index_delta_applies", "index_queries",
         "index_postings_visited", "index_candidates_pruned", "index_compile_ms",
         "index_degraded_queries",
     },
@@ -42,11 +42,7 @@ AS_DICT_KEYS = {
         "budget_nodes", "dispatches", "coalesced_dispatches", "merged_pairs",
         "deduped_pairs", "p50_latency_ms", "p99_latency_ms",
     },
-    ArtifactStoreStats: {
-        "index_loads", "index_saves", "index_misses",
-        "featurizer_loads", "featurizer_saves", "featurizer_misses",
-        "model_loads", "model_saves", "model_misses", "quarantined",
-    },
+    ArtifactStoreStats: {"model_loads", "model_saves", "model_misses", "quarantined"},
 }
 
 #: The fields that are levels (high-water marks, quantiles), not counts.

@@ -18,9 +18,9 @@ incrementally maintained index is structurally byte-equal
 rebuilt from scratch over the same records — catching posting-list skew that
 a lucky query order might not surface — and a truncation variant re-runs the
 sequences with a delta log too short to replay, exercising the
-rebuild-fallback path against the same oracles.  A persistence variant
-replays mutations against a source wired to an on-disk artifact store, so
-save → mutate → warm-load cycles are fuzzed the same way.
+rebuild-fallback path against the same oracles.  After every mutation the
+source's record order must also equal a plain-list model of the same
+mutations: the order decides triangle candidates.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import random
 
 import pytest
 
-from repro.data.artifacts import ArtifactStore
 from repro.data.blocking import token_blocking, top_k_neighbours
 from repro.data.indexing import (
     SourceTokenIndex,
@@ -64,21 +63,36 @@ def _random_record(rng: random.Random, record_id: str) -> Record:
     return make_record(record_id, name, description, price)
 
 
-def _apply_random_mutation(rng: random.Random, source: DataSource, counter: list[int]) -> str:
-    """One random lifecycle mutation through the public API; returns its name."""
+def _apply_random_mutation(
+    rng: random.Random, source: DataSource, counter: list[int]
+) -> tuple[str, str]:
+    """One random lifecycle mutation through the public API.
+
+    Returns the operation's name and the id of the record it touched.
+    """
     operations = ["add", "update"]
     if len(source) > 3:  # keep enough records for triangle search to stay meaningful
         operations.append("remove")
     operation = rng.choice(operations)
     if operation == "add":
         counter[0] += 1
-        source.add(_random_record(rng, f"F{counter[0]}"))
+        record_id = f"F{counter[0]}"
+        source.add(_random_record(rng, record_id))
     elif operation == "update":
-        victim = rng.choice(source.ids())
-        source.update(_random_record(rng, victim))
+        record_id = rng.choice(source.ids())
+        source.update(_random_record(rng, record_id))
     else:
-        source.remove(rng.choice(source.ids()))
-    return operation
+        record_id = rng.choice(source.ids())
+        source.remove(record_id)
+    return operation, record_id
+
+
+def _apply_to_model(model_ids: list[str], operation: str, record_id: str) -> None:
+    """The same mutation on a plain list of ids: append, keep place, or drop."""
+    if operation == "add":
+        model_ids.append(record_id)
+    elif operation == "remove":
+        model_ids.remove(record_id)
 
 
 def _assert_ranking_equivalence(source: DataSource, queries) -> None:
@@ -126,25 +140,20 @@ def _assert_structural_equivalence(source: DataSource) -> None:
     assert maintained.canonical_state() == rebuilt.canonical_state()
 
 
-def _run_sequence(
-    seed: int,
-    store: ArtifactStore | None = None,
-    delta_log_limit: int | None = None,
-) -> tuple[DataSource, DataSource]:
+def _run_sequence(seed: int, delta_log_limit: int | None = None) -> tuple[DataSource, DataSource]:
     """One seeded lifecycle fuzz sequence with per-mutation equivalence checks."""
     rng = random.Random(seed)
     left, right = toy_sources()
-    if store is not None:
-        left.artifact_store = store
-        right.artifact_store = store
     if delta_log_limit is not None:
         left.delta_log_limit = delta_log_limit
         right.delta_log_limit = delta_log_limit
+    model_ids = {left.name: left.ids(), right.name: right.ids()}
     model = SimilarityModel()
     counter = [0]
     for step in range(SEQUENCE_LENGTH):
         target, other = (left, right) if rng.random() < 0.5 else (right, left)
-        _apply_random_mutation(rng, target, counter)
+        _apply_to_model(model_ids[target.name], *_apply_random_mutation(rng, target, counter))
+        assert target.ids() == model_ids[target.name]
         queries = rng.sample(list(other), min(2, len(other)))
         _assert_ranking_equivalence(target, queries)
         _assert_blocking_equivalence(left, right)
@@ -171,8 +180,8 @@ def test_mutation_sequence_keeps_indexed_paths_byte_equal(seed):
 def test_mutation_sequence_with_truncated_delta_log(seed, delta_log_limit):
     """The same differential fuzz with a delta log too short to replay.
 
-    ``delta_log_limit=0`` journals nothing (every freshness check takes the
-    content-hash fallback), ``1`` keeps exactly the latest mutation (replay
+    ``delta_log_limit=0`` journals nothing (every freshness check after a
+    mutation rebuilds), ``1`` keeps exactly the latest mutation (replay
     succeeds only when queries interleave every mutation, which triangle
     steps occasionally break by touching the *other* source in between) — so
     both fallback branches run under the full oracle set.
@@ -221,21 +230,36 @@ class TestLifecycleEdgeCases:
         assert left.ids() == order_before
 
 
-class TestPersistedLifecycleFuzz:
-    """The same differential fuzz, replayed through an on-disk artifact store.
-
-    Each sequence runs twice against one store: the second replay warm-loads
-    every index state the first replay persisted, so the equivalence
-    assertions cover loaded indexes exactly as hard as built ones.
-    """
-
-    @pytest.mark.parametrize("seed", range(0, SEQUENCE_COUNT, 25))
-    def test_mutation_sequence_with_artifact_store(self, seed, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        _run_sequence(seed, store=store)
-        assert store.stats.index_saves > 0
-        _run_sequence(seed, store=store)
-        assert store.stats.index_loads > 0
+def test_long_interleaved_removes_and_updates_keep_list_order():
+    """Hundreds of interleaved removes, updates and adds on a few hundred
+    records: after every mutation the source's order equals a plain list's,
+    and the index maintained through all of them equals a rebuild."""
+    rng = random.Random(4242)
+    source = DataSource(
+        name="long", schema=LEFT_SCHEMA,
+        records=[_random_record(rng, f"S{number}") for number in range(300)],
+    )
+    model_ids = source.ids()
+    index = get_source_index(source, 2)
+    index.ensure_fresh()
+    counter = [0]
+    for step in range(500):
+        roll = rng.random()
+        if roll < 0.45:
+            record_id = rng.choice(model_ids)
+            source.remove(record_id)
+            model_ids.remove(record_id)
+        elif roll < 0.9:
+            source.update(_random_record(rng, rng.choice(model_ids)))
+        else:
+            counter[0] += 1
+            source.add(_random_record(rng, f"F{counter[0]}"))
+            model_ids.append(f"F{counter[0]}")
+        assert source.ids() == model_ids
+        if step % 50 == 0:
+            _assert_ranking_equivalence(source, [_random_record(rng, "Q")])
+    assert len(model_ids) > 50  # removes really interleaved with later lookups
+    _assert_structural_equivalence(source)
 
 
 def _scan_tokens(record: Record) -> frozenset[str]:

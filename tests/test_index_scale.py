@@ -9,8 +9,7 @@ source.
 
 It also covers the machinery large sources rely on: the deterministic
 streaming generator :func:`iter_synthetic_records`, chunked
-:meth:`DataSource.from_iterable`, the batched delta replay, the shard key of
-the npz artifact layout, and memory-mapped npz warm loads.
+:meth:`DataSource.from_iterable` and the batched delta replay.
 """
 
 from __future__ import annotations
@@ -18,15 +17,8 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
 import pytest
 
-from repro.data.artifacts import (
-    DEFAULT_INDEX_SHARDS,
-    ArtifactStore,
-    load_npz_arrays,
-    token_shard,
-)
 from repro.data.blocking import top_k_neighbours
 from repro.data.indexing import SourceTokenIndex, get_source_index
 from repro.data.records import Record, Schema
@@ -154,55 +146,3 @@ class TestBatchedReplay:
         rebuilt = SourceTokenIndex(source, 2)
         rebuilt.ensure_fresh()
         assert index.canonical_state() == rebuilt.canonical_state()
-
-
-class TestShardedBuild:
-    def test_token_shard_is_process_stable(self):
-        # crc32, not hash(): the npz layout groups tokens by this key, so it
-        # must agree across processes regardless of PYTHONHASHSEED.
-        for token in ("sony", "日本語テスト", "café"):
-            shard = token_shard(token, DEFAULT_INDEX_SHARDS)
-            assert 0 <= shard < DEFAULT_INDEX_SHARDS
-            assert token_shard(token, DEFAULT_INDEX_SHARDS) == shard
-
-
-class TestNpzArtifacts:
-    def test_mmap_load_matches_eager_load(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        schema = synthetic_schema()
-        source = DataSource.from_iterable(
-            "npz-mmap", schema, iter_synthetic_records(60, seed=8)
-        )
-        source.artifact_store = store
-        index = get_source_index(source, 2)
-        index.ensure_fresh()
-        paths = list((tmp_path / "artifacts").rglob("index_*.npz"))
-        assert len(paths) == 1
-        mapped = load_npz_arrays(paths[0], mmap=True)
-        eager = load_npz_arrays(paths[0], mmap=False)
-        assert mapped is not None and eager is not None
-        assert set(mapped) == set(eager)
-        for name in eager:
-            assert np.array_equal(mapped[name], eager[name]), name
-
-    def test_warm_load_serves_compiled_queries(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        schema = synthetic_schema()
-        records = list(iter_synthetic_records(70, seed=12))
-        cold_source = DataSource(name="npz-warm", schema=schema, records=records)
-        cold_source.artifact_store = store
-        cold = get_source_index(cold_source, 2)
-        cold.ensure_fresh()
-
-        warm_source = DataSource(name="npz-warm", schema=schema, records=records)
-        warm_source.artifact_store = store
-        warm = get_source_index(warm_source, 2)
-        warm.ensure_fresh()
-        assert warm.stats.loads == 1 and warm.stats.builds == 0
-        assert warm.canonical_state() == cold.canonical_state()
-        external = next(iter(iter_synthetic_records(1, seed=5, id_prefix="Q")))
-        for query in (records[3], records[40], external):
-            for k in (5, None):
-                scanned = top_k_neighbours(query, records, k=k, indexed=False)
-                assert _ids(warm.top_k(query, k=k)) == _ids(scanned)
-                assert _ids(cold.top_k(query, k=k)) == _ids(scanned)

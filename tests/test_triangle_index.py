@@ -64,11 +64,10 @@ class TestIndexStats:
 
     def test_as_dict_is_prefixed(self):
         stats = IndexStats(
-            builds=1, loads=5, delta_applies=6, queries=2, postings_visited=3, candidates_pruned=4
+            builds=1, delta_applies=6, queries=2, postings_visited=3, candidates_pruned=4
         )
         assert stats.as_dict() == {
             "index_builds": 1,
-            "index_loads": 5,
             "index_delta_applies": 6,
             "index_queries": 2,
             "index_postings_visited": 3,
@@ -76,12 +75,6 @@ class TestIndexStats:
             "index_compile_ms": 0.0,
             "index_degraded_queries": 0,
         }
-
-    def test_loads_participate_in_arithmetic(self):
-        """Warm starts are accounted separately from builds in sums and deltas."""
-        total = IndexStats(builds=1, loads=2) + IndexStats(loads=3, queries=1)
-        assert total == IndexStats(builds=1, loads=5, queries=1)
-        assert (total - IndexStats(loads=4)).loads == 1
 
 
 def _scan_ranking(query, source, k, exclude_ids=(), min_token_length=DEFAULT_BLOCKING_TOKEN_LENGTH):
@@ -197,39 +190,35 @@ class TestIndexLifecycle:
 
 
 class TestContentHashInvalidation:
-    def test_in_place_record_replacement_triggers_rebuild(self, sources):
-        """Regression: a record replaced in ``source.records`` without going
-        through ``add``/``update`` bypasses ``data_version`` — the index must
-        still rebuild (content-hash validation), never serve the stale ranking."""
+    def test_in_place_record_replacement_raises(self, sources):
+        """``source.records`` is read-only: a record cannot be replaced
+        behind ``data_version``, so the index never needs to detect it."""
         left, right = sources
         index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
         query = right.get("R0")
-        index.top_k(query, k=None)
+        before = [r.record_id for r in index.top_k(query, k=None)]
+        with pytest.raises(TypeError):
+            left.records[0] = make_record("L0", "replaced without the api", "in place", "3.14")
+        with pytest.raises(TypeError):
+            del left.records[0]
+        assert [r.record_id for r in index.top_k(query, k=None)] == before
         assert index.builds == 1
-        version = left.data_version
-        left.records[0] = make_record("L0", "replaced without the api", "in place mutation", "3.14")
-        assert left.data_version == version  # the counter never saw the mutation
-        indexed = index.top_k(query, k=None)
-        assert index.builds == 2
-        assert [r.record_id for r in indexed] == [
-            r.record_id for r in _scan_ranking(query, left, None)
-        ]
 
-    def test_in_place_append_triggers_rebuild(self, sources):
+    def test_in_place_append_raises(self, sources):
         left, right = sources
         query = right.get("R0")
         top_k_neighbours(query, left, k=None, indexed=True)  # build
-        left.records.append(
-            make_record("L8", "sony bravia theater deluxe", "sony bravia theater black", "210.0")
-        )
+        newcomer = make_record("L8", "sony bravia theater deluxe", "sony bravia black", "210.0")
+        with pytest.raises(AttributeError):
+            left.records.append(newcomer)
         indexed = top_k_neighbours(query, left, k=None, indexed=True)
         scanned = _scan_ranking(query, left, None)
         assert [r.record_id for r in indexed] == [r.record_id for r in scanned]
-        assert "L8" in {r.record_id for r in indexed}
+        assert "L8" not in {r.record_id for r in indexed}
 
     def test_content_identical_update_skips_the_rebuild(self, sources):
-        """The hash is *more precise* than the counter: replacing a record
-        with an identical copy bumps ``data_version`` but not the content."""
+        """Replacing a record with an identical copy bumps ``data_version``;
+        the index replays the delta instead of rebuilding."""
         left, right = sources
         index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
         index.top_k(right.get("R0"), k=2)
@@ -237,12 +226,13 @@ class TestContentHashInvalidation:
         left.update(make_record("L1", *[original.value(a) for a in original.attribute_names()]))
         index.top_k(right.get("R0"), k=2)
         assert index.builds == 1  # same content, no rebuild
+        assert index.delta_applies == 1
 
     def test_content_equal_revalidation_serves_live_objects(self, sources):
         """A content-equal replacement skips the rebuild but must surface the
         *live* record objects: a replacement can differ in identity (or source
         tag, which is not content) and consumers compare records, not just
-        derivations."""
+        derivations.  The replayed delta installs the new object."""
         left, right = sources
         index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
         index.top_k(right.get("R0"), k=2)
@@ -252,66 +242,6 @@ class TestContentHashInvalidation:
         served = {record.record_id: record for record in index.top_k(right.get("R0"), k=None)}
         assert index.builds == 1  # still no rebuild...
         assert served["L1"] is replacement  # ...but the live object is served
-
-
-class TestLoadedIndexEquivalence:
-    """Warm-loaded indexes must be indistinguishable from built ones."""
-
-    def _warm_copy(self, source, store):
-        from repro.data.indexing import _TOKEN_SET_CACHE
-
-        copy = DataSource(name=source.name, schema=source.schema, records=list(source.records))
-        copy.artifact_store = store
-        _TOKEN_SET_CACHE.clear()
-        return copy
-
-    def test_loaded_equals_built_equals_scan(self, sources, tmp_path):
-        from repro.data.artifacts import ArtifactStore
-
-        store = ArtifactStore(tmp_path / "artifacts")
-        left, right = sources
-        left.artifact_store = store
-        built_index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
-        warm_left = self._warm_copy(left, store)
-        loaded_index = get_source_index(warm_left, DEFAULT_BLOCKING_TOKEN_LENGTH)
-        for query in right:
-            for k in (2, None):
-                built = [r.record_id for r in built_index.top_k(query, k=k)]
-                loaded = [r.record_id for r in loaded_index.top_k(query, k=k)]
-                scanned = [r.record_id for r in _scan_ranking(query, left, k)]
-                assert built == loaded == scanned
-        assert loaded_index.builds == 0 and loaded_index.loads == 1
-
-    def test_loaded_triangle_search_identical(self, similarity_model, sources, labelled_pairs, tmp_path):
-        from repro.data.artifacts import ArtifactStore
-
-        store = ArtifactStore(tmp_path / "artifacts")
-        left, right = sources
-        left.artifact_store = store
-        right.artifact_store = store
-        built = [
-            find_open_triangles(similarity_model, pair, left, right, count=8, seed=1, indexed=True)
-            for pair in labelled_pairs[:3]
-        ]
-        warm_left = self._warm_copy(left, store)
-        warm_right = self._warm_copy(right, store)
-        for pair, reference in zip(labelled_pairs[:3], built):
-            loaded = find_open_triangles(
-                similarity_model, pair, warm_left, warm_right, count=8, seed=1, indexed=True
-            )
-            scanned = find_open_triangles(
-                similarity_model, pair, warm_left, warm_right, count=8, seed=1, indexed=False
-            )
-            assert (
-                _triangle_fingerprint(loaded)
-                == _triangle_fingerprint(reference)
-                == _triangle_fingerprint(scanned)
-            )
-        loaded_stats = (
-            get_source_index(warm_left, DEFAULT_BLOCKING_TOKEN_LENGTH).stats
-            + get_source_index(warm_right, DEFAULT_BLOCKING_TOKEN_LENGTH).stats
-        )
-        assert loaded_stats.builds == 0 and loaded_stats.loads == 2
 
 
 class TestBlockingEquivalence:
@@ -447,8 +377,8 @@ class TestExplainerEquivalence:
 
 
 class TestFreshnessCost:
-    """Each freshness decision costs at most one identity sweep (one
-    ``content_hash``), and zero for sealed sources."""
+    """A freshness decision compares ``data_version``: no query hashes the
+    source's content, sealed or not, mutated since the last query or not."""
 
     def _counting_hash(self, source):
         calls = {"n": 0}
@@ -461,39 +391,43 @@ class TestFreshnessCost:
         source.content_hash = counting
         return calls
 
-    def test_unchanged_source_costs_one_hash_per_query(self, sources):
+    @pytest.mark.parametrize("sealed", [False, True], ids=["unsealed", "sealed"])
+    def test_unchanged_source_costs_no_hash(self, sources, sealed):
         left, right = sources
-        index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
-        index.top_k(right.get("R0"), k=2)  # build
+        if sealed:
+            left.seal()
         calls = self._counting_hash(left)
-        index.top_k(right.get("R0"), k=2)
-        assert calls["n"] == 1  # regression: the old path swept twice
-        index.top_k(right.get("R1"), k=2)
-        assert calls["n"] == 2
+        index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
+        for query in right:
+            index.top_k(query, k=2)
+        assert calls["n"] == 0
+        assert index.builds == 1
 
-    def test_delta_replay_costs_one_hash(self, sources):
+    def test_delta_replay_costs_no_hash(self, sources):
         left, right = sources
+        calls = self._counting_hash(left)
         index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
         index.top_k(right.get("R0"), k=2)
         left.add(make_record("L9", "sony bravia theater mini", "sony bravia mini", "149.0"))
-        calls = self._counting_hash(left)
+        left.update(make_record("L2", "canon powershot mini", "canon camera mini", "99.0"))
+        left.remove("L4")
         ranked = index.top_k(right.get("R0"), k=None)
-        # One sweep decides staleness; the replay validates against that same
-        # hash instead of sweeping again.
-        assert calls["n"] == 1
-        assert index.delta_applies == 1
-        assert "L9" in {record.record_id for record in ranked}
+        assert calls["n"] == 0
+        assert (index.builds, index.delta_applies) == (1, 3)
+        assert [r.record_id for r in ranked] == [
+            r.record_id for r in _scan_ranking(right.get("R0"), left, None)
+        ]
 
-    def test_sealed_source_snapshot_is_the_live_list(self, sources):
+    def test_truncated_log_rebuilds_without_hashing(self, sources):
         left, right = sources
-        left.seal()
+        left.delta_log_limit = 0
+        calls = self._counting_hash(left)
         index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
         index.top_k(right.get("R0"), k=2)
-        assert index._snapshot is left.records  # no defensive copy per check
-        for query in right:
-            index.top_k(query, k=2)
-        assert index.builds == 1
-        assert index.delta_applies == 0
+        left.add(make_record("L9", "sony bravia theater mini", "sony bravia mini", "149.0"))
+        assert "L9" in {r.record_id for r in index.top_k(right.get("R0"), k=None)}
+        assert calls["n"] == 0
+        assert (index.builds, index.delta_applies) == (2, 0)
 
     def test_sealed_and_unsealed_rankings_are_identical(self):
         sealed_left, right = toy_sources()
