@@ -28,7 +28,8 @@ There is one in-memory representation: slot-addressed posting lists in a
 dict (token -> sorted slot ids) beside per-slot token sets.  The
 :meth:`top_k` walk over it is the df-ordered, early-terminating top-k of
 Xiao et al. ("Top-k set similarity joins", ICDE 2009); the reference scan
-stays behind it as the golden oracle and the fallback when the walk fails.
+(:func:`repro.data.blocking.top_k_neighbours` with ``indexed=False``) is
+the golden oracle the equivalence suites compare it against.
 
 Indexes are built on first use, cached on the :class:`~repro.data.table.DataSource`
 instance per ``min_token_length`` (:func:`get_source_index`), and maintained
@@ -37,11 +38,14 @@ which bumps ``data_version`` and journals every mutation, so an index is
 current exactly when it has seen the source's version.  On the next query
 after a mutation the index consumes the source's bounded delta log
 (:meth:`~repro.data.table.DataSource.deltas_since`) and applies the
-record-level add/update/remove deltas directly to its posting lists — a
-single-record mutation costs work proportional to that record's tokens, not
-to the source.  A full rebuild happens only when the log was truncated past
-the index's version or when replay detects an inconsistency.  Indexes live
-in memory only; building one at paper scale costs a few milliseconds.
+record-level add/update/remove deltas directly to its sorted posting lists
+(``bisect`` insertions and deletions, the standard in-place update of an
+inverted file for small batches: Zobel & Moffat, "Inverted files for text
+search engines", ACM Computing Surveys 2006) — a single-record mutation
+costs work proportional to that record's tokens, not to the source.  A
+full rebuild happens only when the log was truncated past the index's
+version or when replay detects an inconsistency.  Indexes live in memory
+only; building one at paper scale costs a few milliseconds.
 :class:`IndexStats` counts builds, delta applies, queries, postings visited
 and candidates pruned; the counters surface through
 ``TriangleSearchResult.index_stats``, ``CertaExplanation.index_stats`` and
@@ -62,10 +66,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro import faults
 from repro.counters import Counters
-from repro.data.blocking import DEFAULT_BLOCKING_TOKEN_LENGTH
-from repro.data.records import Record, RecordPair
+from repro.data.blocking import DEFAULT_BLOCKING_TOKEN_LENGTH  # noqa: F401  (re-exported)
+from repro.data.records import Record
 from repro.data.table import DataSource, SourceDelta
 from repro.text.tokenize import tokenize
 
@@ -103,7 +106,7 @@ class IndexStats(Counters):
 
     ``builds``
         Full index (re)builds: the first build, and every rebuild after a
-        truncated delta log, a failed replay or tombstone compaction.
+        truncated delta log or a failed replay.
     ``delta_applies``
         Record-level mutations applied incrementally to the posting lists
         (one per consumed :class:`~repro.data.table.SourceDelta`); a
@@ -120,9 +123,6 @@ class IndexStats(Counters):
     ``compile_ms``
         Always 0.0: the index has no compiled form.  The field stays so rows
         and traces that read it keep their schema.
-    ``degraded_queries``
-        Top-k queries whose dict walk failed and fell back to the reference
-        scan.  Results stay byte-identical; 0 on every fault-free run.
     """
 
     builds: int = 0
@@ -131,7 +131,6 @@ class IndexStats(Counters):
     postings_visited: int = 0
     candidates_pruned: int = 0
     compile_ms: float = 0.0
-    degraded_queries: int = 0
 
     key_prefix = "index_"
 
@@ -140,81 +139,25 @@ class _DeltaReplayError(Exception):
     """Raised when a delta cannot be applied consistently (forces a rebuild)."""
 
 
-class _PendingPostings:
-    """Per-replay batch buffer for posting-list edits (sort once per token).
-
-    ``bisect.insort`` per (token, slot) made a large replay quadratic in the
-    hot posting lists: every insertion paid an O(df) list shift.  The buffer
-    instead records adds/removes per token while the replay runs — validating
-    each against base-list ∪ pending state exactly as the eager code did —
-    and :meth:`commit` rewrites each *touched* list once: filter the removes,
-    extend with the adds, one ``sort``.  An aborted replay (any
-    ``_DeltaReplayError``) simply drops the buffer, leaving the posting dict
-    untouched for the rebuild that follows.
-    """
-
-    def __init__(self, postings: dict[str, list[int]]) -> None:
-        self._postings = postings
-        self._adds: dict[str, set[int]] = {}
-        self._removes: dict[str, set[int]] = {}
-
-    def add(self, token: str, slot: int) -> None:
-        removes = self._removes.get(token)
-        if removes is not None and slot in removes:
-            removes.discard(slot)
-            return
-        self._adds.setdefault(token, set()).add(slot)
-
-    def remove(self, token: str, slot: int) -> None:
-        adds = self._adds.get(token)
-        if adds is not None and slot in adds:
-            adds.discard(slot)
-            return
-        base = self._postings.get(token)
-        removes = self._removes.setdefault(token, set())
-        if slot in removes or base is None:
-            raise _DeltaReplayError(f"slot {slot} not posted under {token!r}")
-        index = bisect.bisect_left(base, slot)
-        if index == len(base) or base[index] != slot:
-            raise _DeltaReplayError(f"slot {slot} not posted under {token!r}")
-        removes.add(slot)
-
-    def commit(self) -> None:
-        """Apply the buffered edits."""
-        for token, removes in self._removes.items():
-            if not removes:
-                continue
-            kept = [slot for slot in self._postings[token] if slot not in removes]
-            if kept:
-                self._postings[token] = kept
-            else:
-                del self._postings[token]
-        for token, adds in self._adds.items():
-            if not adds:
-                continue
-            slots = self._postings.setdefault(token, [])
-            slots.extend(adds)
-            slots.sort()
-
-
 class SourceTokenIndex:
     """Inverted blocking-token index over one :class:`DataSource`.
 
-    Records are addressed by **slot**: a stable small integer assigned when a
-    record enters the index and never reused while it lives, so posting lists
-    survive insertions and removals untouched except where the mutated
-    record's own tokens point.  Three parallel id-sorted arrays (``_ids`` /
-    ``_id_slots`` / ``_records``) keep the canonical ``record_id`` order —
-    the order every scan ranking uses for tie-breaks and zero-overlap fill —
-    available as before.  Removed records leave tombstone slots behind;
-    once tombstones outnumber live records the next maintenance pass compacts
-    by rebuilding (cheap: token sets are content-interned).
+    Records are addressed by **slot**: a small integer assigned when a
+    record enters the index and kept while it lives, so posting lists change
+    only where the mutated record's own tokens point.  A removed record's
+    slot goes on a free stack that the next insert pops, so there are never
+    more slots than the peak number of live records.  Three parallel
+    id-sorted arrays (``_ids`` / ``_id_slots`` / ``_records``) keep the
+    canonical ``record_id`` order — the order every scan ranking uses for
+    tie-breaks and zero-overlap fill.
 
     Mutations reach the index through the source's delta log (see
     :meth:`ensure_fresh`).
 
-    Thread-safety matches the library's other caches: concurrent readers may
-    duplicate a deterministic rebuild but never corrupt state.
+    One thread at a time may mutate and query a source and its index.  A
+    sealed source (:meth:`~repro.data.table.DataSource.seal`) never changes
+    version, so many threads may query it at once: racing first queries at
+    most build the same index twice.
     """
 
     def __init__(self, source: DataSource, min_token_length: int) -> None:
@@ -225,14 +168,14 @@ class SourceTokenIndex:
         self.queries = 0
         self.postings_visited = 0
         self.candidates_pruned = 0
-        self.degraded_queries = 0
         #: The source's ``data_version`` the index reflects (``None``: unbuilt).
         self._built_version: int | None = None
-        # Slot-addressed stores (tombstoned on removal):
+        # Slot-addressed stores (a removed record's slot holds None until reused):
         self._slots: list[Record | None] = []
         self._slot_tokens: list[frozenset[str]] = []
         self._postings: dict[str, list[int]] = {}
-        self._tombstones = 0
+        #: Freed slots, reused last-freed first by the next insert.
+        self._free: list[int] = []
         # Canonical id-order views (parallel arrays, maintained by bisect):
         self._records: list[Record] = []
         self._ids: list[str] = []
@@ -260,7 +203,7 @@ class SourceTokenIndex:
         self._slot_tokens = token_sets
         self._id_slots = list(range(len(records)))
         self._postings = postings
-        self._tombstones = 0
+        self._free = []
         self.builds += 1
 
     def _derive_token_sets(self, records: list[Record]) -> list[frozenset[str]]:
@@ -309,77 +252,89 @@ class SourceTokenIndex:
         2. *delta replay* — the mutations journalled since the index's
            version are applied record-by-record to the posting lists.
         3. *rebuild* — when the index was never built, the delta log no
-           longer reaches back to its version, a delta is inconsistent with
-           the indexed state, or tombstones outnumber live records.
+           longer reaches back to its version, or a delta is inconsistent
+           with the indexed state.
         """
         version = self.source.data_version
         if version == self._built_version:
             return
         built = self._built_version
         deltas = None if built is None else self.source.deltas_since(built)
-        if deltas is None or not self._replay(deltas) or self._tombstones > max(64, len(self._ids)):
-            # Tombstone bloat compacts into one clean rebuild too.
+        if deltas is None or not self._replay(deltas):
             self._build()
         self._built_version = version
 
     def _replay(self, deltas: list[SourceDelta]) -> bool:
         """Apply ``deltas`` to the slot stores; whether every delta applied.
 
-        ``False`` when any delta is inconsistent with the indexed state (the
-        caller rebuilds, which also repairs any partial application).
+        ``False`` when any delta is inconsistent with the indexed state.  The
+        edits already made stay behind; the caller's rebuild replaces them.
         """
-        pending = _PendingPostings(self._postings)
         try:
             for delta in deltas:
-                self._apply_delta(delta, pending)
+                self._apply_delta(delta)
         except _DeltaReplayError:
-            # Posting-list edits were only buffered, so the dict lists are
-            # untouched; the slot/id-array edits already applied are repaired
-            # by the rebuild the caller now performs.
             return False
-        pending.commit()
         self.delta_applies += len(deltas)
         return True
 
-    def _apply_delta(self, delta: SourceDelta, pending: _PendingPostings) -> None:
+    def _apply_delta(self, delta: SourceDelta) -> None:
         if delta.op == "add" and delta.new is not None:
-            self._insert_record(delta.new, pending)
+            self._insert_record(delta.new)
         elif delta.op == "remove" and delta.old is not None:
-            self._delete_record(delta.old, pending)
+            self._delete_record(delta.old)
         elif delta.op == "update" and delta.old is not None and delta.new is not None:
-            self._replace_record(delta.old, delta.new, pending)
+            self._replace_record(delta.old, delta.new)
         else:
             raise _DeltaReplayError(f"malformed delta {delta.op!r}")
 
-    def _insert_record(self, record: Record, pending: _PendingPostings) -> None:
+    def _post(self, token: str, slot: int) -> None:
+        bisect.insort(self._postings.setdefault(token, []), slot)
+
+    def _unpost(self, token: str, slot: int) -> None:
+        slots = self._postings.get(token, [])
+        index = bisect.bisect_left(slots, slot)
+        if index == len(slots) or slots[index] != slot:
+            raise _DeltaReplayError(f"slot {slot} not posted under {token!r}")
+        if len(slots) == 1:
+            del self._postings[token]
+        else:
+            del slots[index]
+
+    def _insert_record(self, record: Record) -> None:
         position = bisect.bisect_left(self._ids, record.record_id)
         if position < len(self._ids) and self._ids[position] == record.record_id:
             raise _DeltaReplayError(f"duplicate id {record.record_id!r} in replay")
-        slot = len(self._slots)
         tokens = interned_blocking_tokens(record, self.min_token_length)
-        self._slots.append(record)
-        self._slot_tokens.append(tokens)
+        if self._free:
+            slot = self._free.pop()
+            self._slots[slot] = record
+            self._slot_tokens[slot] = tokens
+        else:
+            slot = len(self._slots)
+            self._slots.append(record)
+            self._slot_tokens.append(tokens)
         self._ids.insert(position, record.record_id)
         self._id_slots.insert(position, slot)
         self._records.insert(position, record)
         for token in tokens:
-            pending.add(token, slot)
+            self._post(token, slot)
 
-    def _delete_record(self, old: Record, pending: _PendingPostings) -> None:
+    def _delete_record(self, old: Record) -> None:
         position = bisect.bisect_left(self._ids, old.record_id)
         if position == len(self._ids) or self._ids[position] != old.record_id:
             raise _DeltaReplayError(f"unknown id {old.record_id!r} in replay")
         slot = self._id_slots[position]
         for token in self._slot_tokens[slot]:
-            pending.remove(token, slot)
+            self._unpost(token, slot)
         del self._ids[position]
         del self._id_slots[position]
         del self._records[position]
         self._slots[slot] = None
         self._slot_tokens[slot] = frozenset()
-        self._tombstones += 1
+        self._free.append(slot)
 
-    def _replace_record(self, old: Record, new: Record, pending: _PendingPostings) -> None:
+    def _replace_record(self, old: Record, new: Record) -> None:
         position = bisect.bisect_left(self._ids, new.record_id)
         if position == len(self._ids) or self._ids[position] != new.record_id:
             raise _DeltaReplayError(f"unknown id {new.record_id!r} in replay")
@@ -389,9 +344,9 @@ class SourceTokenIndex:
         old_tokens = self._slot_tokens[slot]
         new_tokens = interned_blocking_tokens(new, self.min_token_length)
         for token in old_tokens - new_tokens:
-            pending.remove(token, slot)
+            self._unpost(token, slot)
         for token in new_tokens - old_tokens:
-            pending.add(token, slot)
+            self._post(token, slot)
         self._slots[slot] = new
         self._slot_tokens[slot] = new_tokens
         self._records[position] = new
@@ -465,10 +420,6 @@ class SourceTokenIndex:
         ever being scored.  (Float rounding is monotone, so the computed
         bound dominates the computed exact score and the skip can never drop
         a tie-breaking candidate — results stay byte-identical to the scan.)
-
-        Should the walk fail (a fault injected at ``index.dict``, or a real
-        one), the query is answered by :meth:`_top_k_scan` instead and counted
-        in ``degraded_queries``; the result is the same either way.
         """
         self.ensure_fresh()
         self.queries += 1
@@ -481,18 +432,12 @@ class SourceTokenIndex:
         if wanted <= 0:
             self.candidates_pruned += len(self._records)
             return []
-
-        try:
-            return self._top_k_dict(query_set, total, wanted, excluded)
-        except Exception:  # repro-lint: disable=EXC002 -- recovery contract: the reference scan needs only records + tokeniser and ranks identically to the dict walk, counted in degraded_queries
-            self.degraded_queries += 1
-        return self._top_k_scan(query_set, total, wanted, excluded)
+        return self._top_k_dict(query_set, total, wanted, excluded)
 
     def _top_k_dict(
         self, query_set: frozenset[str], total: int, wanted: int, excluded: set[str]
     ) -> list[Record]:
-        """Exact top-k over the dict posting lists (the fast path)."""
-        faults.fault_step("index.dict")
+        """Exact top-k over the dict posting lists."""
         postings = self._postings
         slots_store = self._slots
         slot_tokens = self._slot_tokens
@@ -559,119 +504,12 @@ class SourceTokenIndex:
         self.candidates_pruned += len(self._records) - len(scores)
         return result
 
-    def _top_k_scan(
-        self, query_set: frozenset[str], total: int, wanted: int, excluded: set[str]
-    ) -> list[Record]:
-        """Reference scan over the id-ordered records (the fallback of :meth:`top_k`).
-
-        Needs only the parallel id-order arrays and the token interner — no
-        posting lists — so it stays answerable after the dict walk faulted.
-        Scores every non-excluded record with the
-        same Jaccard as :func:`repro.data.blocking.overlap_score` and orders
-        by ``(-score, record_id)``, byte-identical to
-        :func:`repro.data.blocking.top_k_neighbours` with ``indexed=False``.
-        """
-        scored: list[tuple[float, str, Record]] = []
-        for position, record in enumerate(self._records):
-            record_id = self._ids[position]
-            if record_id in excluded:
-                continue
-            tokens = interned_blocking_tokens(record, self.min_token_length)
-            if not query_set or not tokens:
-                score = 0.0
-            else:
-                overlap = len(query_set & tokens)
-                score = overlap / (total + len(tokens) - overlap)
-            scored.append((score, record_id, record))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [record for _, __, record in scored[:wanted]]
-
     def _has(self, record_id: str) -> bool:
         try:
             self._position(record_id)
         except KeyError:
             return False
         return True
-
-    # ---------------------------------------------------------- change tracking
-
-    def ids_sharing_tokens(self, tokens: Iterable[str]) -> set[str]:
-        """Ids of indexed records containing any of ``tokens`` (one postings pass).
-
-        The primitive behind :func:`changed_pairs`: records sharing a
-        blocking token with a mutated record are exactly the ones whose
-        positive-overlap ranking against that record's source could have
-        moved.  Counted as one query; postings visited covers every posting
-        read.
-        """
-        self.ensure_fresh()
-        self.queries += 1
-        found: set[str] = set()
-        for token in tokens:
-            slots = self._postings.get(token, ())
-            self.postings_visited += len(slots)
-            for slot in slots:
-                found.add(self._slots[slot].record_id)
-        return found
-
-
-def changed_pairs(
-    pairs: Iterable[RecordPair | tuple[str, str]],
-    left: DataSource,
-    right: DataSource,
-    left_since: int,
-    right_since: int,
-    min_token_length: int = DEFAULT_BLOCKING_TOKEN_LENGTH,
-) -> set[tuple[str, str]] | None:
-    """The subset of ``pairs`` whose support neighbourhoods were touched.
-
-    For a monitoring workload holding explanations of ``pairs`` (record-id
-    tuples or :class:`~repro.data.records.RecordPair` objects) computed when
-    the sources stood at ``data_version`` ``left_since`` / ``right_since``:
-    a pair is returned when either member was itself added/updated/removed,
-    or when a member shares at least one blocking token with the old or new
-    content of any mutated record (of either source) — the condition for the
-    member's *positive-overlap* support ranking against the mutated source
-    to change.  Pairs not returned kept every support candidate that shares
-    content with them, in the same order, so re-explaining only the returned
-    pairs reproduces a full re-explanation wherever token overlap drives
-    support selection (zero-overlap fill-tail reshuffles below the last
-    scored candidate are deliberately out of scope).
-
-    Touched members are resolved through each source's shared
-    :class:`SourceTokenIndex` postings — one lookup per mutated token, never
-    a scan.  Returns ``None`` when either source's bounded delta log no
-    longer reaches back to the given version: the caller must re-explain
-    everything (exactly as it would after a full rebuild).
-    """
-    left_deltas = left.deltas_since(left_since)
-    right_deltas = right.deltas_since(right_since)
-    if left_deltas is None or right_deltas is None:
-        return None
-    pair_ids = [
-        pair.pair_id if isinstance(pair, RecordPair) else (str(pair[0]), str(pair[1]))
-        for pair in pairs
-    ]
-    if not (left_deltas or right_deltas):
-        return set()
-    mutated_left: set[str] = set()
-    mutated_right: set[str] = set()
-    tokens: set[str] = set()
-    for deltas, mutated in ((left_deltas, mutated_left), (right_deltas, mutated_right)):
-        for delta in deltas:
-            for record in (delta.old, delta.new):
-                if record is not None:
-                    mutated.add(record.record_id)
-                    tokens |= interned_blocking_tokens(record, min_token_length)
-    touched_left = get_source_index(left, min_token_length).ids_sharing_tokens(tokens)
-    touched_left |= mutated_left
-    touched_right = get_source_index(right, min_token_length).ids_sharing_tokens(tokens)
-    touched_right |= mutated_right
-    return {
-        (left_id, right_id)
-        for left_id, right_id in pair_ids
-        if left_id in touched_left or right_id in touched_right
-    }
 
 
 def get_source_index(source: DataSource, min_token_length: int) -> SourceTokenIndex:

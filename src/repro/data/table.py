@@ -5,9 +5,11 @@ that an ER task compares.  CERTA's open-triangle search iterates over a data
 source to find support records, so the class offers fast lookup by id and
 simple sampling utilities in addition to plain iteration.
 
-The source owns its records.  It copies the list it is given and exposes it
-as a read-only :class:`RecordsView`, so only :meth:`DataSource.add`,
-:meth:`~DataSource.update` and :meth:`~DataSource.remove` can change it.
+The source owns its records: one insertion-ordered dict keyed by record id,
+exposed as a read-only :class:`RecordsView`, so only :meth:`DataSource.add`,
+:meth:`~DataSource.update` and :meth:`~DataSource.remove` can change them.
+Adds append, updates keep their place, removes drop out, and a re-added id
+goes last: the dict's own order, which triangle candidates depend on.
 Each of them bumps :attr:`~DataSource.data_version` and journals a
 :class:`SourceDelta` in a bounded **delta log**.  Derived structures — the
 inverted token index of :mod:`repro.data.indexing`, the featurisation caches
@@ -23,6 +25,7 @@ computed on demand, for model-artifact keys and saved-dataset verification.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from collections import Counter, deque
 from collections.abc import Sequence
@@ -99,34 +102,44 @@ class SourceDelta:
 
 
 class RecordsView(Sequence):
-    """Read-only view of a :class:`DataSource`'s record list.
+    """Read-only view of a :class:`DataSource`'s records, in insertion order.
 
-    Indexing, ``len`` and iteration delegate to the list, so reads keep list
-    speed; item assignment, ``append`` and ``del`` do not exist, so the
-    source's mutation API is the only way to change its records.
+    ``len``, iteration and ``reversed`` delegate to the record dict, so
+    ``[0]`` and ``[-1]`` cost O(1); other positions walk to the record
+    (O(position)).  Item assignment, ``append`` and ``del`` do not exist,
+    so the source's mutation API is the only way to change its records.
     """
 
     __slots__ = ("_records",)
 
-    def __init__(self, records: list[Record]) -> None:
+    def __init__(self, records: dict[str, Record]) -> None:
         self._records = records
 
     def __getitem__(self, index):
-        return self._records[index]
+        values = self._records.values()
+        if isinstance(index, slice):
+            return list(values)[index]
+        index = operator.index(index)
+        if index < 0:
+            values, index = reversed(values), -index - 1
+        for record in islice(values, index, None):
+            return record
+        raise IndexError("record index out of range")
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
+        return iter(self._records.values())
+
+    def __reversed__(self) -> Iterator[Record]:
+        return reversed(self._records.values())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RecordsView):
-            other = other._records
-        return self._records == other
+        return list(self) == (list(other) if isinstance(other, RecordsView) else other)
 
     def __repr__(self) -> str:
-        return f"RecordsView({self._records!r})"
+        return f"RecordsView({list(self)!r})"
 
 
 @dataclass
@@ -134,7 +147,8 @@ class DataSource:
     """A named table of records with a fixed schema.
 
     ``records`` may be any iterable of records; the source keeps its own
-    copy and serves it back as a read-only :class:`RecordsView`.
+    copy and serves it back as a read-only :class:`RecordsView`.  Adding or
+    removing a record while iterating the source raises ``RuntimeError``.
     """
 
     name: str
@@ -143,11 +157,11 @@ class DataSource:
     delta_log_limit: int = DEFAULT_DELTA_LOG_LIMIT
 
     def __post_init__(self) -> None:
-        #: The record list itself: only :meth:`add`, :meth:`update` and
-        #: :meth:`remove` edit it.
-        self._records: list[Record] = list(self.records)
+        records = self.records
+        #: record id -> record, in insertion order: only :meth:`add`,
+        #: :meth:`update` and :meth:`remove` edit it.
+        self._records: dict[str, Record] = {}
         self.records = RecordsView(self._records)
-        self._by_id: dict[str, Record] = {}
         self._data_version = 0
         #: Journalled mutations, oldest first (bounded by ``delta_log_limit``).
         self._delta_log: deque[SourceDelta] = deque()
@@ -162,19 +176,17 @@ class DataSource:
         self._hash_state: tuple[int, int] | None = None
         #: True once :meth:`seal` closed the mutation API.
         self._sealed = False
-        #: Number of :meth:`remove` calls so far.
-        self._removes = 0
-        #: record id -> ``(position, removes)``: the record's position in the
-        #: list when the hint was written, and ``_removes`` at that time.
-        #: Keeps :meth:`update` / :meth:`remove` from scanning the whole
-        #: list (see :meth:`_position_of`).
-        self._positions: dict[str, tuple[int, int]] = {}
-        for position, record in enumerate(self._records):
-            self._validate(record)
-            self._by_id[record.record_id] = record
-            self._positions[record.record_id] = (position, 0)
-        if len(self._by_id) != len(self._records):
-            raise DatasetError(f"duplicate record ids in data source {self.name!r}")
+        self._extend(records, validate=True)
+
+    def _extend(self, records: Iterable[Record], validate: bool) -> None:
+        """Store ``records`` one at a time (construction only: no delta)."""
+        stored = self._records
+        for record in records:
+            if validate:
+                self._validate(record)
+            if record.record_id in stored:
+                raise DatasetError(f"duplicate record ids in data source {self.name!r}")
+            stored[record.record_id] = record
 
     @property
     def data_version(self) -> int:
@@ -226,7 +238,7 @@ class DataSource:
         """
         state = self._hash_state
         if state is None or state[0] != self._data_version:
-            total = _schema_hash_int(self.schema) + sum(map(_record_hash_int, self._records))
+            total = _schema_hash_int(self.schema) + sum(map(_record_hash_int, self._records.values()))
             state = self._hash_state = (self._data_version, total % _HASH_MODULUS)
         return format(state[1], "064x")
 
@@ -244,11 +256,9 @@ class DataSource:
         """
         self._assert_mutable()
         self._validate(record)
-        if record.record_id in self._by_id:
+        if record.record_id in self._records:
             raise DatasetError(f"duplicate record id {record.record_id!r} in {self.name!r}")
-        self._records.append(record)
-        self._by_id[record.record_id] = record
-        self._positions[record.record_id] = (len(self._records) - 1, self._removes)
+        self._records[record.record_id] = record
         self._commit_mutation("add", old=None, new=record)
 
     def update(self, record: Record) -> Record:
@@ -261,13 +271,12 @@ class DataSource:
         """
         self._assert_mutable()
         self._validate(record)
-        old = self._by_id.get(record.record_id)
+        old = self._records.get(record.record_id)
         if old is None:
             raise DatasetError(
                 f"cannot update unknown record id {record.record_id!r} in {self.name!r}"
             )
-        self._records[self._position_of(old)] = record
-        self._by_id[record.record_id] = record
+        self._records[record.record_id] = record
         self._commit_mutation("update", old=old, new=record)
         return old
 
@@ -278,37 +287,16 @@ class DataSource:
         :class:`~repro.exceptions.SealedSourceError` on a sealed source.
         """
         self._assert_mutable()
-        record = self._by_id.pop(record_id, None)
+        record = self._records.pop(record_id, None)
         if record is None:
             raise DatasetError(f"cannot remove unknown record id {record_id!r} from {self.name!r}")
-        del self._records[self._position_of(record)]
-        del self._positions[record_id]
-        self._removes += 1
         self._commit_mutation("remove", old=record, new=None)
         return record
-
-    def _position_of(self, record: Record) -> int:
-        """The position of ``record`` in the list, found from its hint.
-
-        Adds append and updates replace in place, so a record only ever moves
-        left, by one per remove before it.  It therefore sits at most
-        ``_removes - removes`` places left of its hinted ``position``: a
-        backward identity search over that window (its top clamped to the
-        shortened list) finds it, and refreshes the hint.
-        """
-        position, removes = self._positions[record.record_id]
-        records = self._records
-        stop = max(position - (self._removes - removes), 0) - 1
-        for index in range(min(position, len(records) - 1), stop, -1):
-            if records[index] is record:
-                self._positions[record.record_id] = (index, self._removes)
-                return index
-        raise DatasetError(f"record id {record.record_id!r} not in data source {self.name!r}")
 
     def _commit_mutation(self, op: str, old: Record | None, new: Record | None) -> None:
         """Version bump + refcounts + delta journalling.
 
-        Called *after* the record list and ``_by_id`` reflect the mutation.
+        Called *after* the record dict reflects the mutation.
         """
         self._data_version += 1
 
@@ -350,7 +338,7 @@ class DataSource:
     def _build_value_refs(self) -> Counter[str]:
         """Reference counts of every record's value strings (one full pass)."""
         refs: Counter[str] = Counter()
-        for record in self._records:
+        for record in self._records.values():
             refs.update(_record_strings(record))
         return refs
 
@@ -420,22 +408,22 @@ class DataSource:
     def get(self, record_id: str) -> Record:
         """Return the record with ``record_id`` or raise ``DatasetError``."""
         try:
-            return self._by_id[record_id]
+            return self._records[record_id]
         except KeyError as exc:
             raise DatasetError(f"record id {record_id!r} not in data source {self.name!r}") from exc
 
     def __contains__(self, record_id: object) -> bool:
-        return record_id in self._by_id
+        return record_id in self._records
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
+        return iter(self._records.values())
 
     def ids(self) -> list[str]:
         """All record identifiers, in insertion order."""
-        return [record.record_id for record in self._records]
+        return list(self._records)
 
     def sample(self, count: int, rng: random.Random | None = None, exclude: Iterable[str] = ()) -> list[Record]:
         """Sample up to ``count`` records uniformly at random without replacement.
@@ -445,20 +433,20 @@ class DataSource:
         """
         rng = rng or random.Random(0)
         excluded = set(exclude)
-        candidates = [record for record in self._records if record.record_id not in excluded]
+        candidates = [record for record in self if record.record_id not in excluded]
         if count >= len(candidates):
             return list(candidates)
         return rng.sample(candidates, count)
 
     def filter(self, predicate: Callable[[Record], bool]) -> "DataSource":
         """Return a new data source keeping only records that satisfy ``predicate``."""
-        kept = [record for record in self._records if predicate(record)]
+        kept = [record for record in self if predicate(record)]
         return DataSource(name=self.name, schema=self.schema, records=kept)
 
     def vocabulary(self, attribute: str | None = None) -> set[str]:
         """Distinct whitespace tokens across the source (optionally one attribute)."""
         tokens: set[str] = set()
-        for record in self._records:
+        for record in self:
             if attribute is None:
                 tokens.update(record.all_tokens())
             else:
@@ -468,7 +456,7 @@ class DataSource:
     def distinct_values(self, attribute: str) -> list[str]:
         """Distinct non-missing values of one attribute, in first-seen order."""
         seen: dict[str, None] = {}
-        for record in self._records:
+        for record in self:
             value = record.value(attribute)
             if value:
                 seen.setdefault(value, None)
@@ -479,7 +467,7 @@ class DataSource:
         stats: dict[str, dict[str, float]] = {}
         total = max(len(self._records), 1)
         for attribute in self.schema:
-            values = [record.value(attribute) for record in self._records]
+            values = [record.value(attribute) for record in self]
             non_missing = [value for value in values if value]
             token_lengths = [len(value.split()) for value in non_missing]
             stats[attribute] = {
@@ -495,41 +483,21 @@ class DataSource:
         name: str,
         schema: Schema,
         records: Iterable[Record],
-        chunk_size: int = 50_000,
         validate: bool = True,
         delta_log_limit: int = DEFAULT_DELTA_LOG_LIMIT,
     ) -> "DataSource":
-        """Build a source by draining an iterator of records in bounded chunks.
+        """Build a source by draining an iterator of records one at a time.
 
-        The streaming companion of the list constructor: ``records`` is
-        consumed ``chunk_size`` records at a time (so a generator such as
-        :func:`repro.data.synthetic.iter_synthetic_records` is never
-        materialised twice — once as an intermediate list, once inside the
-        source) and the id/position maps are grown chunk-wise instead of
-        record-by-record.  ``validate=False`` skips the per-record schema
-        check for generators that construct records against ``schema`` by
-        construction — at a million records the check is the dominant cost
-        of ingestion.  Duplicate ids raise ``DatasetError`` either way.
+        The streaming companion of the list constructor: a generator such as
+        :func:`repro.data.synthetic.iter_synthetic_records` goes straight
+        into the source's record dict, never through an intermediate list.
+        ``validate=False`` skips the per-record schema check for generators
+        that construct records against ``schema`` by construction — at a
+        million records the check is the dominant cost of ingestion.
+        Duplicate ids raise ``DatasetError`` either way.
         """
-        source = cls(name=name, schema=schema, records=[], delta_log_limit=delta_log_limit)
-        stored = source._records
-        by_id = source._by_id
-        positions = source._positions
-        iterator = iter(records)
-        while True:
-            chunk = list(islice(iterator, max(chunk_size, 1)))
-            if not chunk:
-                break
-            if validate:
-                for record in chunk:
-                    source._validate(record)
-            base = len(stored)
-            stored.extend(chunk)
-            for offset, record in enumerate(chunk):
-                by_id[record.record_id] = record
-                positions[record.record_id] = (base + offset, 0)
-            if len(by_id) != len(stored):
-                raise DatasetError(f"duplicate record ids in data source {name!r}")
+        source = cls(name=name, schema=schema, delta_log_limit=delta_log_limit)
+        source._extend(records, validate)
         return source
 
     @classmethod

@@ -8,14 +8,14 @@ faults fire where — "on the 3rd hit of scope ``unit.body``, raise an
 :func:`fault_step` at their injection points.  With no plan installed the
 hook is a single module-level ``None`` check, so production code pays nothing.
 
-Scopes instrumented across the library:
+Scopes instrumented across the library (:data:`FAULT_SCOPES`; a rule naming
+any other scope is rejected, since nothing would ever hit it):
 
 ========================  ====================================================
 ``unit.body``             sweep-runner work-unit execution (``execute_unit``)
 ``checkpoint.append``     one checkpoint-store JSONL append
 ``artifact.write``        one atomic artifact write (text or npz)
 ``engine.batch``          one model ``predict_proba`` invocation
-``index.dict``            one dict-walk top-k query (falls back to the scan)
 ``serve.request``         one explanation-service request execution
 ========================  ====================================================
 
@@ -69,9 +69,12 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 #: The fault kinds a rule may request.
 FAULT_KINDS = ("error", "kill", "delay", "corrupt", "torn")
 
+#: The scopes that call :func:`fault_step`, in the docstring table's order.
+FAULT_SCOPES = ("unit.body", "checkpoint.append", "artifact.write", "engine.batch", "serve.request")
+
 
 class FaultPlanError(ReproError):
-    """Raised for malformed fault plans (bad kind, unparseable JSON)."""
+    """Raised for malformed fault plans (bad kind or scope, unparseable JSON)."""
 
 
 class InjectedFault(TransientError, OSError):
@@ -100,6 +103,8 @@ class FaultRule:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise FaultPlanError(f"unknown fault kind {self.kind!r}; available: {FAULT_KINDS}")
+        if self.scope not in FAULT_SCOPES:
+            raise FaultPlanError(f"unknown fault scope {self.scope!r}; available: {FAULT_SCOPES}")
 
     def matches(self, hit: int) -> bool:
         """Whether the rule fires on the ``hit``-th hit of its scope."""

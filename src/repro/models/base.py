@@ -148,9 +148,9 @@ class ERModel(PredictionMixin, ABC):
         """Drop featurisation-cache entries for retired value strings.
 
         The streaming counterpart of :meth:`clear_featurizer_cache`: feed it
-        the ``retired_values`` journalled by ``DataSource`` mutations
-        (directly, or via ``PairFeaturizer.apply_source_deltas``) and only
-        the artifacts no live record can reach are dropped.  Returns the
+        the ``retired_values`` journalled by ``DataSource`` mutations (e.g.
+        ``DataSource.retired_values_since``) and only the artifacts no live
+        record can reach are dropped.  Returns the
         number of entries evicted (0 when featurisation is unsupported).
         """
         if self._featurizer is None:

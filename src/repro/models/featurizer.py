@@ -365,22 +365,6 @@ class PairFeaturizer:
             return 0
         return self.values.evict(retired) + self.comparisons.evict(retired)
 
-    def apply_source_deltas(self, deltas) -> int:
-        """Evict the artifacts retired by a batch of ``SourceDelta`` mutations.
-
-        Each :class:`~repro.data.table.SourceDelta` journals the value
-        strings its mutation removed from every live record
-        (``retired_values``); this consumes a ``deltas_since`` batch and
-        drops exactly those entries.  Returns the number of entries dropped.
-        Pass the deltas of every source feeding this featurizer — a value
-        retired from one source may still live in another, which is safe
-        (re-interned on next use) but wastes a recomputation.
-        """
-        retired: set[str] = set()
-        for delta in deltas:
-            retired.update(delta.retired_values)
-        return self.evict_values(retired)
-
     def reset_stats(self) -> None:
         """Zero all counters (cached artifacts are left intact)."""
         self.values.reset_stats()

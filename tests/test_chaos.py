@@ -9,15 +9,16 @@ answer while the world misbehaves.  Every scenario follows one template:
 3. re-run and assert the rows/rankings/scores are **byte-equal** to the
    reference, with the recovery visible only in the provenance counters
    (``retried``, ``worker_crashes``, ``deadline_exceeded``,
-   ``degraded_queries``, ``quarantined``).
+   ``quarantined``).
 
 Covered faults: transient work-unit errors (retry + backoff), per-unit
 deadline overruns, a ``SIGKILL``-ed process-pool worker (pool respawn +
 requeue), a real subprocess killed mid-checkpoint-append (torn-line resume),
 corrupted model-artifact bytes (quarantine + retrain), ``ENOSPC`` during
-model-artifact writes (degrade-to-memory), flaky model invocations (retry + poison-row
-bisection) and dict-walk index failures (degradation to the reference
-scan).
+model-artifact writes (degrade-to-memory) and flaky model invocations
+(retry + poison-row bisection).  A plan naming a scope outside
+:data:`repro.faults.FAULT_SCOPES` is rejected, so no scenario here can pass
+by injecting nothing.
 
 ``REPRO_CHAOS_SEED`` shifts the harness and fuzz seeds so the CI matrix runs
 the suite under several fixed seeds without any test-code changes.
@@ -29,6 +30,7 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -39,8 +41,6 @@ import pytest
 
 from repro import env, faults
 from repro.data.artifacts import ArtifactStore, write_atomic_npz, write_atomic_text
-from repro.data.blocking import top_k_neighbours
-from repro.data.indexing import get_source_index
 from repro.eval.harness import ExperimentHarness, HarnessConfig
 from repro.eval.runner import (
     SweepRunner,
@@ -102,33 +102,43 @@ class TestFaultPlanMechanics:
         with pytest.raises(FaultPlanError, match="unknown fault kind"):
             FaultRule(scope="unit.body", kind="meteor")
 
+    def test_unknown_scope_rejected(self):
+        with pytest.raises(FaultPlanError, match="unknown fault scope"):
+            FaultRule(scope="index.dict")
+        # A plan inherited through the environment goes through the same check.
+        env.set_raw(faults.FAULT_PLAN_ENV, json.dumps({"rules": [{"scope": "unit.bdy"}]}))
+        with pytest.raises(FaultPlanError, match="unknown fault scope"):
+            faults.fault_step("unit.body")
+        documented = re.findall(r"^``([a-z]+\.[a-z]+)``  ", faults.__doc__, re.MULTILINE)
+        assert tuple(documented) == faults.FAULT_SCOPES
+
     def test_unparseable_env_plan_raises_instead_of_running_fault_free(self):
         env.set_raw(faults.FAULT_PLAN_ENV, "{not json")
         with pytest.raises(FaultPlanError, match="unparseable"):
             faults.fault_step("unit.body")
 
     def test_firing_window_is_deterministic(self):
-        faults.install_plan(plan(FaultRule(scope="t", step=2, times=2)))
-        assert faults.fault_step("t") is None  # hit 1: before the window
+        faults.install_plan(plan(FaultRule(scope="unit.body", step=2, times=2)))
+        assert faults.fault_step("unit.body") is None  # hit 1: before the window
         for _ in range(2):  # hits 2-3: inside
             with pytest.raises(InjectedFault):
-                faults.fault_step("t")
-        assert faults.fault_step("t") is None  # hit 4: past the window
-        assert faults.scope_hits("t") == 4
+                faults.fault_step("unit.body")
+        assert faults.fault_step("unit.body") is None  # hit 4: past the window
+        assert faults.scope_hits("unit.body") == 4
 
     def test_unbounded_rule_fires_forever(self):
-        faults.install_plan(plan(FaultRule(scope="t", step=2, times=0)))
-        assert faults.fault_step("t") is None
+        faults.install_plan(plan(FaultRule(scope="engine.batch", step=2, times=0)))
+        assert faults.fault_step("engine.batch") is None
         for _ in range(5):
             with pytest.raises(InjectedFault):
-                faults.fault_step("t")
+                faults.fault_step("engine.batch")
 
     def test_scopes_count_independently(self):
-        faults.install_plan(plan(FaultRule(scope="a", step=2)))
-        assert faults.fault_step("a") is None
-        assert faults.fault_step("b") is None  # does not advance scope "a"
+        faults.install_plan(plan(FaultRule(scope="unit.body", step=2)))
+        assert faults.fault_step("unit.body") is None
+        assert faults.fault_step("engine.batch") is None  # does not advance "unit.body"
         with pytest.raises(InjectedFault):
-            faults.fault_step("a")
+            faults.fault_step("unit.body")
 
     def test_injected_fault_is_a_transient_oserror(self):
         fault = InjectedFault(errno.ENOSPC, "injected")
@@ -139,7 +149,7 @@ class TestFaultPlanMechanics:
         assert is_transient(wrapped)  # transience survives exception chaining
 
     def test_workers_parse_the_plan_from_the_environment(self):
-        installed = plan(FaultRule(scope="t", step=1))
+        installed = plan(FaultRule(scope="unit.body", step=1))
         faults.install_plan(installed)
         # Simulate a worker: module state gone, environment inherited.
         faults._ACTIVE_PLAN = None
@@ -148,17 +158,17 @@ class TestFaultPlanMechanics:
 
     def test_once_key_fires_at_most_once_across_processes(self, tmp_path):
         shared = plan(
-            FaultRule(scope="t", kind="error", once_key="crash-1"),
+            FaultRule(scope="unit.body", kind="error", once_key="crash-1"),
             state_dir=str(tmp_path),
         )
         faults.install_plan(shared)
         with pytest.raises(InjectedFault):
-            faults.fault_step("t")
+            faults.fault_step("unit.body")
         assert (tmp_path / "fired-crash-1").exists()
         # A second process would reinstall the same plan (fresh counters);
         # the marker file must keep the rule claimed.
         faults.install_plan(shared)
-        assert faults.fault_step("t") is None
+        assert faults.fault_step("unit.body") is None
 
     def test_env_knobs_parse_and_clamp(self, monkeypatch):
         monkeypatch.setenv("REPRO_UNIT_RETRIES", "5")
@@ -299,42 +309,6 @@ class TestEngineChaos:
         assert engine.stats.retries == 0
 
 
-# -------------------------------------------------------------- index fallback
-
-
-def _scan_ids(query, source):
-    return [r.record_id for r in top_k_neighbours(query, list(source), k=None, indexed=False)]
-
-
-class TestIndexDegradation:
-    def test_dict_fault_falls_back_to_scan_byte_equal(self):
-        left, right = toy_sources()
-        query = right.get("R0")
-        reference = _scan_ids(query, left)
-        faults.install_plan(plan(FaultRule(scope="index.dict", times=1)))
-        index = get_source_index(left, 2)
-        degraded = [r.record_id for r in index.top_k(query, k=None)]
-        assert degraded == reference
-        assert index.degraded_queries == 1
-        assert index.stats.as_dict()["index_degraded_queries"] == 1
-        # The next query runs fault-free and serves from the dict walk again.
-        assert [r.record_id for r in index.top_k(query, k=3)] == reference[:3]
-        assert index.degraded_queries == 1
-
-    def test_bounded_k_and_exclusions_survive_degradation(self):
-        left, right = toy_sources()
-        query = right.get("R1")
-        exclude = (left.ids()[0],)
-        reference = [
-            r.record_id
-            for r in top_k_neighbours(query, list(left), k=3, exclude_ids=exclude, indexed=False)
-        ]
-        faults.install_plan(plan(FaultRule(scope="index.dict", times=0)))
-        index = get_source_index(left, 2)
-        result = [r.record_id for r in index.top_k(query, k=3, exclude_ids=exclude)]
-        assert result == reference
-
-
 # ----------------------------------------------------------------- sweep runner
 
 
@@ -446,22 +420,12 @@ class TestChaosFuzz:
     """Differential fuzz sequences re-run under fault plans.
 
     ``_run_sequence`` asserts indexed == scan equivalence after every
-    mutation; running it with injected traversal and model faults proves the
-    fallbacks preserve those equivalences mid-lifecycle, not just on a
+    mutation; running it with injected model faults proves the engine's
+    retries preserve those equivalences mid-lifecycle, not just on a
     quiescent index.
     """
 
-    @pytest.mark.parametrize("seed", [CHAOS_SEED * 10 + offset for offset in range(3)])
-    def test_fuzz_sequences_survive_traversal_faults(self, seed):
-        faults.install_plan(
-            plan(
-                FaultRule(scope="index.dict", step=2, times=3),
-                FaultRule(scope="index.dict", step=8, times=2),
-            )
-        )
-        _run_sequence(seed)
-
-    @pytest.mark.parametrize("seed", [CHAOS_SEED * 10 + offset for offset in range(2)])
+    @pytest.mark.parametrize("seed", [CHAOS_SEED * 10 + offset for offset in range(5)])
     def test_fuzz_sequences_survive_flaky_model_batches(self, seed):
         faults.install_plan(plan(FaultRule(scope="engine.batch", step=2, times=2)))
         _run_sequence(seed)

@@ -35,7 +35,6 @@ AS_DICT_KEYS = {
     IndexStats: {
         "index_builds", "index_delta_applies", "index_queries",
         "index_postings_visited", "index_candidates_pruned", "index_compile_ms",
-        "index_degraded_queries",
     },
     ServeStats: {
         "requests", "completed", "failed", "shed", "retried", "budget_deadline",

@@ -30,12 +30,7 @@ import random
 import pytest
 
 from repro.data.blocking import token_blocking, top_k_neighbours
-from repro.data.indexing import (
-    SourceTokenIndex,
-    changed_pairs,
-    get_source_index,
-    interned_blocking_tokens,
-)
+from repro.data.indexing import SourceTokenIndex, get_source_index
 from repro.data.records import Record, RecordPair
 from repro.data.table import DataSource
 from repro.certa.triangles import find_open_triangles
@@ -262,113 +257,40 @@ def test_long_interleaved_removes_and_updates_keep_list_order():
     _assert_structural_equivalence(source)
 
 
-def _scan_tokens(record: Record) -> frozenset[str]:
-    """Blocking-token set derived straight from the tokenizer (scan semantics)."""
-    from repro.text.tokenize import tokenize
-
-    return frozenset(token for token in tokenize(record.as_text()) if len(token) >= 2)
-
-
-def _positive_neighbourhood(record: Record, candidates) -> list[tuple[str, float]]:
-    """The scored (overlap > 0) support ranking of ``record`` over ``candidates``."""
-    from repro.data.blocking import token_jaccard
-
-    query = _scan_tokens(record)
-    scored = [
-        (candidate.record_id, token_jaccard(query, _scan_tokens(candidate)))
-        for candidate in candidates
-    ]
-    return sorted(
-        ((rid, score) for rid, score in scored if score > 0.0),
-        key=lambda item: (-item[1], item[0]),
+def test_freed_slots_are_reused_without_rebuilds():
+    """Seeded removes, adds and updates on a 300-record source, replayed in
+    batches of 1-8: a removed record's slot goes to the next add, so the index
+    never holds more slots than the peak live count and never rebuilds."""
+    rng = random.Random(2323)
+    source = DataSource(
+        name="slots", schema=LEFT_SCHEMA,
+        records=[_random_record(rng, f"S{number}") for number in range(300)],
     )
-
-
-class TestChangedPairs:
-    """``changed_pairs`` against a brute-force oracle and its stability contract."""
-
-    @pytest.mark.parametrize("seed", range(0, SEQUENCE_COUNT, 10))
-    def test_matches_brute_force_definition(self, seed):
-        """Flagged set == scan-derived {member mutated, or member shares a
-        token with any mutated record's old/new content}, fuzzed."""
-        rng = random.Random(seed)
-        left, right = toy_sources()
-        pairs = [(l.record_id, r.record_id) for l in left for r in right]
-        since_left, since_right = left.data_version, right.data_version
-        counter = [100]
-        journal: list[tuple[DataSource, Record | None, Record | None]] = []
-        for _ in range(3):
-            source = left if rng.random() < 0.5 else right
-            before = {record.record_id: record for record in source}
-            _apply_random_mutation(rng, source, counter)
-            after = {record.record_id: record for record in source}
-            for rid in before.keys() | after.keys():
-                if before.get(rid) is not after.get(rid):
-                    journal.append((source, before.get(rid), after.get(rid)))
-
-        mutated_left = {r.record_id for s, old, new in journal if s is left for r in (old, new) if r}
-        mutated_right = {r.record_id for s, old, new in journal if s is right for r in (old, new) if r}
-        mutated_tokens: set[str] = set()
-        for _, old, new in journal:
-            for record in (old, new):
-                if record is not None:
-                    mutated_tokens |= _scan_tokens(record)
-        touched_left = mutated_left | {
-            r.record_id for r in left if _scan_tokens(r) & mutated_tokens
-        }
-        touched_right = mutated_right | {
-            r.record_id for r in right if _scan_tokens(r) & mutated_tokens
-        }
-        expected = {
-            (l, r) for l, r in pairs if l in touched_left or r in touched_right
-        }
-        assert changed_pairs(pairs, left, right, since_left, since_right) == expected
-
-    def test_unchanged_pairs_keep_their_scored_support_neighbourhoods(self):
-        """A pair *not* flagged kept the scored part of both members' support
-        rankings bit-for-bit — the guarantee that makes re-explaining only the
-        flagged pairs equivalent to re-explaining everything (wherever token
-        overlap drives support selection)."""
-        left, right = toy_sources()
-        pairs = [(l.record_id, r.record_id) for l in left for r in right]
-        before = {
-            (l, r): (
-                _positive_neighbourhood(left.get(l), list(right)),
-                _positive_neighbourhood(right.get(r), list(left)),
-            )
-            for l, r in pairs
-        }
-        since_left, since_right = left.data_version, right.data_version
-        left.update(make_record("L0", "sony bravia tv", "sony bravia big television", "499.00"))
-        right.remove("R3")
-        flagged = changed_pairs(pairs, left, right, since_left, since_right)
-        assert flagged is not None
-        unflagged = [pair for pair in pairs if pair not in flagged]
-        assert unflagged  # the toy mutation must not flag everything
-        for l, r in unflagged:
-            assert _positive_neighbourhood(left.get(l), list(right)) == before[(l, r)][0]
-            assert _positive_neighbourhood(right.get(r), list(left)) == before[(l, r)][1]
-
-    def test_no_mutations_flags_nothing(self):
-        left, right = toy_sources()
-        pairs = [(l.record_id, r.record_id) for l in left for r in right]
-        assert changed_pairs(pairs, left, right, left.data_version, right.data_version) == set()
-
-    def test_truncated_log_returns_none(self):
-        left, right = toy_sources()
-        pairs = [(l.record_id, r.record_id) for l in left for r in right]
-        since = left.data_version
-        left.delta_log_limit = 0
-        left.add(_random_record(random.Random(3), "F9"))
-        assert changed_pairs(pairs, left, right, since, right.data_version) is None
-
-    def test_accepts_record_pair_objects(self):
-        left, right = toy_sources()
-        pairs = [RecordPair(left.get("L0"), right.get("R0"), None)]
-        since_left, since_right = left.data_version, right.data_version
-        left.update(make_record("L0", "sony bravia tv", "sony bravia display", "499.00"))
-        flagged = changed_pairs(pairs, left, right, since_left, since_right)
-        assert flagged == {("L0", "R0")}
+    index = get_source_index(source, 2)
+    index.ensure_fresh()
+    peak = len(source)
+    added = 0
+    next_check = rng.randint(1, 8)
+    for step in range(600):
+        add_share = 0.6 if step < 150 else 0.3  # grow past 300 first, then shrink
+        roll = rng.random()
+        if roll < add_share:
+            added += 1
+            source.add(_random_record(rng, f"F{added}"))
+        elif roll < add_share + 0.4 and len(source) > 1:
+            source.remove(rng.choice(source.ids()))
+        else:
+            source.update(_random_record(rng, rng.choice(source.ids())))
+        peak = max(peak, len(source))
+        if step == next_check:
+            index.ensure_fresh()
+            next_check += rng.randint(1, 8)
+    index.ensure_fresh()
+    assert peak > 300 and len(source) < peak  # the source grew, then shrank
+    assert len(index._slots) == peak
+    assert index.builds == 1
+    assert index.delta_applies == 600
+    _assert_structural_equivalence(source)
 
 
 class TestRetiredValueEviction:
@@ -378,7 +300,7 @@ class TestRetiredValueEviction:
     def _toy_pairs(left, right):
         return [RecordPair(l, r, None) for l, r in zip(list(left)[:4], list(right)[:4])]
 
-    def test_apply_source_deltas_drops_only_retired_entries(self):
+    def test_evict_values_drops_only_retired_entries(self):
         from repro.models.featurizer import ComparisonPairFeaturizer
 
         left, right = toy_sources()
@@ -392,7 +314,7 @@ class TestRetiredValueEviction:
         retired = {value for delta in deltas for value in delta.retired_values}
         assert retired  # the update must have retired the replaced strings
         assert kept_name not in retired  # the unchanged value stays live
-        dropped = featurizer.apply_source_deltas(deltas)
+        dropped = featurizer.evict_values(retired)
         assert dropped > 0
         for value in retired:
             assert value not in featurizer.values._features
@@ -416,7 +338,9 @@ class TestRetiredValueEviction:
         since = left.data_version
         for _ in range(3):
             _apply_random_mutation(rng, left, counter)
-        warm.apply_source_deltas(left.deltas_since(since))
+        warm.evict_values(
+            {value for delta in left.deltas_since(since) for value in delta.retired_values}
+        )
         pairs = [RecordPair(l, rng.choice(list(right)), None) for l in left]
         cold = ComparisonPairFeaturizer()
         np.testing.assert_array_equal(warm.featurize(pairs), cold.featurize(pairs))

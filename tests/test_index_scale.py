@@ -110,9 +110,7 @@ class TestStreamingGenerator:
         schema = synthetic_schema()
         records = list(iter_synthetic_records(120, seed=9))
         eager = DataSource(name="eager", schema=schema, records=records)
-        streamed = DataSource.from_iterable(
-            "streamed", schema, iter_synthetic_records(120, seed=9), chunk_size=32
-        )
+        streamed = DataSource.from_iterable("streamed", schema, iter_synthetic_records(120, seed=9))
         assert len(streamed) == len(eager) == 120
         assert [r.values for r in streamed] == [r.values for r in eager]
 

@@ -54,29 +54,25 @@ class TestLifecycleMutations:
         with pytest.raises(DatasetError, match="unknown record id"):
             left.remove("L99")
 
-    def test_remove_drops_one_hint_and_later_mutations_stay_in_place(self, sources):
+    def test_mutations_after_a_remove_keep_list_order(self, sources):
         left, _ = sources
-        positions = left._positions
-        assert positions["L4"] == (4, 0)
         left.remove("L1")
-        assert left._positions is positions and "L1" not in positions
-        assert positions["L4"] == (4, 0)  # stale by one, within its one-remove window
         order = left.ids()
+        assert order == ["L0", "L2", "L3", "L4", "L5"]
         left.update(make_record("L4", "bose speaker revised", "bose revised", "131.0"))
         assert left.ids() == order
         assert left.records[order.index("L4")].value("name") == "bose speaker revised"
-        assert positions["L4"] == (order.index("L4"), 1)  # refreshed by the lookup
         left.remove("L3")
         assert left.ids() == [record_id for record_id in order if record_id != "L3"]
 
-    def test_hint_window_is_clamped_to_the_shortened_list(self):
+    def test_update_after_removing_the_records_before_it_keeps_its_place(self):
         records = [make_record(f"r{index}", f"name {index}", "desc", "1.0") for index in range(5)]
         source = DataSource(name="s", schema=LEFT_SCHEMA, records=records)
         for record_id in ("r0", "r1", "r2"):
             source.remove(record_id)
-        # r4's hint still says position 4, past the end of the 2-record list.
-        assert source._positions["r4"] == (4, 0)
         source.update(make_record("r4", "renamed", "desc", "2.0"))
+        assert source.ids() == ["r3", "r4"]
+        assert source.records[-1].value("name") == "renamed"
         source.remove("r3")
         assert source.ids() == ["r4"]
         assert source.get("r4").value("name") == "renamed"
@@ -196,9 +192,15 @@ class TestReadOnlyRecords:
         ids = left.ids()
         assert left.records[0].record_id == ids[0]
         assert left.records[-1].record_id == ids[-1]
+        assert left.records[2].record_id == ids[2]
+        assert left.records[-2].record_id == ids[-2]
+        for out_of_range in (len(ids), -len(ids) - 1):
+            with pytest.raises(IndexError):
+                left.records[out_of_range]
         assert [record.record_id for record in left.records[1:3]] == ids[1:3]
         assert len(left.records) == len(ids)
         assert [record.record_id for record in left.records] == ids
+        assert [record.record_id for record in reversed(left.records)] == ids[::-1]
         assert left.records == list(left.records)
 
 

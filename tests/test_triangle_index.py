@@ -73,7 +73,6 @@ class TestIndexStats:
             "index_postings_visited": 3,
             "index_candidates_pruned": 4,
             "index_compile_ms": 0.0,
-            "index_degraded_queries": 0,
         }
 
 
@@ -167,6 +166,37 @@ class TestIndexLifecycle:
         assert index.delta_applies == 1
         assert "L9" in {record.record_id for record in first}
         assert [r.record_id for r in first] == [r.record_id for r in second]
+
+    def test_a_failing_walk_propagates_out_of_top_k(self, sources, monkeypatch):
+        """No scan answers in the walk's place, so a bug in it surfaces."""
+        left, right = sources
+        index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
+
+        def broken_walk(*args):
+            raise RuntimeError("walk bug")
+
+        monkeypatch.setattr(index, "_top_k_dict", broken_walk)
+        with pytest.raises(RuntimeError, match="walk bug"):
+            index.top_k(right.get("R0"), k=3)
+
+    def test_an_inconsistent_replay_rebuilds(self, sources):
+        """A delta the posting lists cannot absorb fails the replay part-way;
+        the rebuild that follows replaces the edits already made."""
+        left, right = sources
+        index = get_source_index(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
+        index.ensure_fresh()
+        # Skew the index: drop a record's slot from a list that holds later slots.
+        token = max(index._postings, key=lambda name: (len(index._postings[name]), name))
+        victim = index._slots[index._postings[token].pop(0)].record_id
+        left.add(make_record("L9", "sony bravia theater system", "sony bravia home theater", "201.0"))
+        left.remove(victim)
+        query = right.get("R0")
+        ranked = index.top_k(query, k=None)
+        assert (index.builds, index.delta_applies) == (2, 0)
+        assert [r.record_id for r in ranked] == [r.record_id for r in _scan_ranking(query, left, None)]
+        rebuilt = SourceTokenIndex(left, DEFAULT_BLOCKING_TOKEN_LENGTH)
+        rebuilt.ensure_fresh()
+        assert index.canonical_state() == rebuilt.canonical_state()
 
     def test_stale_index_matches_fresh_scan(self, sources):
         """After a mutation, the indexed ranking equals a scan of the new state."""
