@@ -3,10 +3,10 @@
 Not a table of the paper, but the engineering complement to the prediction
 engine benchmark one layer up: the engine batches model invocations *within*
 one explanation, while the sweep runner parallelises whole experiment cells
-*across* cores.  The same saliency sweep is executed three times — ``serial``,
-``threads`` and ``processes`` — each on a fresh harness (cold caches), and the
-benchmark asserts the three row lists are identical before reporting the
-wall-clock comparison.
+*across* cores.  The same saliency sweep is executed twice — ``serial`` and
+``processes`` — each on a fresh harness (cold caches), and the benchmark
+asserts the two row lists are identical before reporting the wall-clock
+comparison.
 
 This file doubles as the CI smoke test for the ``processes`` executor: it
 exercises work-unit pickling, worker warm-up and the JSONL checkpoint store,
@@ -81,10 +81,9 @@ def test_sweep_runner_executor_equivalence_and_wall_clock(benchmark, results_dir
     assert serial_rows, "the sweep must produce rows"
     print(skipped_summary(serial_rows))
     write_jsonl(serial_rows, results_dir / "sweep_runner_rows.jsonl")
-    for executor in ("threads", "processes"):
-        assert rows_by_executor[executor] == serial_rows, (
-            f"{executor} executor must reproduce the serial rows exactly"
-        )
+    assert rows_by_executor["processes"] == serial_rows, (
+        "processes executor must reproduce the serial rows exactly"
+    )
 
     # Resume from the serial checkpoint: every unit must come from the cache.
     resumed = ExperimentHarness(

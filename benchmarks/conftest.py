@@ -6,11 +6,11 @@ dataset) and print their table to stdout; CSV copies land in
 ``benchmarks/results/``.
 
 The harness executes every experiment through the work-unit sweep runner
-(:mod:`repro.eval.runner`); no benchmark file hand-rolls a sweep loop.  Two
+(:mod:`repro.eval.runner`); no benchmark file hand-rolls a sweep loop.  Three
 environment variables control execution:
 
-* ``REPRO_EXECUTOR`` — ``serial`` (default), ``threads`` or ``processes``:
-  how work units are executed.  Rows are identical regardless of executor.
+* ``REPRO_EXECUTOR`` — ``serial`` (default) or ``processes``: how work
+  units are executed.  Rows are identical regardless of executor.
 * ``REPRO_CHECKPOINT=1`` — persist completed units to
   ``benchmarks/results/checkpoints/benchmark_units.jsonl`` so an interrupted
   benchmark run resumes from where it stopped (delete the file, or change the

@@ -1,8 +1,9 @@
 """CONC — lock-discipline rules.
 
-The sweep runner's ``threads`` executor shares ``ModelCache``,
-``CheckpointStore`` and the artifact store across workers; their invariants
-hold because every mutation of shared state happens under the object's lock.
+``ModelCache``, ``CheckpointStore``, the artifact store and the prediction
+engine may be shared across a caller's threads, and the serve layer runs
+explanation requests on a thread pool; their invariants hold because every
+mutation of shared state happens under the object's lock.
 These rules check the discipline class-locally: state mutated under
 ``with self.<lock>:`` anywhere in a class must be mutated under it
 everywhere (CONC001), and a non-reentrant ``threading.Lock`` must not be
@@ -104,9 +105,8 @@ def _walk_method(node: ast.AST, locked: bool) -> Iterator[tuple[str, int, int, b
     "If any method of a class mutates `self.X` inside `with self.<lock>:`, "
     "that attribute is declared shared state — every other mutation of it "
     "(outside `__init__`-like construction) must hold the same lock, or two "
-    "sweep-runner threads can interleave a check-then-update and corrupt the "
-    "cache/checkpoint invariants the runner's exactly-once accounting "
-    "depends on.",
+    "threads can interleave a check-then-update and corrupt the "
+    "cache/checkpoint invariants that exactly-once accounting depends on.",
 )
 def check_unguarded_mutation(context: FileContext) -> Iterator[tuple[int, int, str]]:
     for class_node in ast.walk(context.tree):
@@ -143,8 +143,8 @@ def check_unguarded_mutation(context: FileContext) -> Iterator[tuple[int, int, s
     "Re-acquiring a non-reentrant lock",
     "`threading.Lock` is not reentrant: a nested `with self.<lock>:` inside a "
     "block that already holds the same lock deadlocks the thread on itself, "
-    "which under the `threads` executor hangs the whole sweep rather than "
-    "failing loudly.",
+    "which hangs every thread waiting on that lock (a serve worker pool, a "
+    "caller's threads) rather than failing loudly.",
 )
 def check_nested_lock(context: FileContext) -> Iterator[tuple[int, int, str]]:
     def visit(node: ast.AST, held: frozenset[str]) -> Iterator[tuple[int, int, str]]:

@@ -16,7 +16,7 @@ from repro.analysis.core import FileContext, dotted_name, rule
 
 #: The accessor functions of :mod:`repro.env`.
 _ACCESSORS = frozenset(
-    {"knob", "knobs", "is_set", "read_str", "read_int", "read_float", "read_bool", "set_raw", "unset"}
+    {"knob", "knobs", "is_set", "read_str", "read_int", "read_bool", "set_raw", "unset"}
 )
 
 #: Dotted spellings of a read of ``os.environ``.
@@ -46,7 +46,7 @@ def _registered_knobs() -> frozenset[str]:
 
 _MESSAGE_ENV001 = (
     "read of {name} bypasses the repro.env registry; declare the knob there "
-    "and use env.read_str/read_int/read_float/read_bool"
+    "and use env.read_str/read_int/read_bool"
 )
 
 

@@ -161,13 +161,10 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
         seed: int = 0,
         engine: PredictionEngine | None = None,
         batched: bool = True,
-        batch_size: int = 256,
         indexed: bool = True,
         scheduler: SupportsPairPrediction | None = None,
     ) -> None:
-        SaliencyExplainer.__init__(
-            self, model, engine=engine or PredictionEngine(model, batch_size=batch_size)
-        )
+        SaliencyExplainer.__init__(self, model, engine=engine or PredictionEngine(model))
         #: Optional prediction hand-off: when the serving layer supplies a
         #: scheduler (any ``SupportsPairPrediction``), every frontier — the
         #: triangle search, lattice exploration and counterfactual scoring —
@@ -281,14 +278,13 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
         original_match = original_score > MATCH_THRESHOLD
 
         search = self._find_triangles(pair, num_triangles)
-        if not search.triangles:
-            if self.strict:
-                raise ExplanationError(
-                    "no open triangles could be found for this prediction; "
-                    "the data sources contain no record with the opposite prediction"
-                )
-            return self._degenerate_explanation(
-                pair, original_score, search, engine_start, featurizer_start
+        # Without triangles every count below stays zero, so the explanation
+        # is all-zero (as in the released CERTA implementation: the metrics
+        # penalise the method for that pair) unless ``strict`` refuses it.
+        if not search.triangles and self.strict:
+            raise ExplanationError(
+                "no open triangles could be found for this prediction; "
+                "the data sources contain no record with the opposite prediction"
             )
 
         # Counters of Algorithm 1: necessity N[a], sufficiency S[A], flips f.
@@ -400,55 +396,6 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
         if current is None:
             return None
         return current - start if start is not None else current
-
-    def _degenerate_explanation(
-        self,
-        pair: RecordPair,
-        original_score: float,
-        search: TriangleSearchResult,
-        engine_start: EngineStats | None = None,
-        featurizer_start: FeaturizerStats | None = None,
-    ) -> CertaExplanation:
-        """All-zero explanation returned when no open triangle exists.
-
-        This mirrors the behaviour of the released CERTA implementation: the
-        method cannot say anything about such a prediction, and the evaluation
-        metrics simply penalise it for that pair.
-        """
-        scores = {}
-        for side, record in (("left", pair.left), ("right", pair.right)):
-            for attribute in record.attribute_names():
-                scores[prefixed_attribute(side, attribute)] = 0.0
-        saliency = SaliencyExplanation(
-            pair=pair,
-            prediction=original_score,
-            scores=scores,
-            method=self.method_name,
-            metadata={"triangles": 0.0, "flips": 0.0},
-        )
-        counterfactual = CounterfactualExplanation(
-            pair=pair,
-            prediction=original_score,
-            examples=[],
-            method=self.method_name,
-            attribute_set=(),
-            sufficiency=0.0,
-            metadata={"candidate_sets": 0.0},
-        )
-        return CertaExplanation(
-            saliency=saliency,
-            counterfactual=counterfactual,
-            triangles_used=0,
-            triangles_requested=search.requested,
-            augmented_triangles=0,
-            flips=0,
-            exploration=[],
-            sufficiency_by_set={},
-            engine_stats=(self.engine.stats - engine_start) if engine_start is not None else None,
-            lattice_engine_stats=EngineStats(),
-            featurizer_stats=self._featurizer_delta(featurizer_start),
-            index_stats=search.index_stats,
-        )
 
     # ------------------------------------------------- protocol implementations
 

@@ -212,9 +212,9 @@ def benchmark_info(code: str) -> BenchmarkInfo:
 
 #: Serialises dataset generation: ``lru_cache`` alone would let two threads
 #: generate the same dataset concurrently and hand out different (if
-#: content-identical) instances.  The sweep runner's ``threads`` executor
-#: shares one process-wide dataset per (code, scale) thanks to this lock;
-#: process-pool workers each regenerate deterministically from the seed.
+#: content-identical) instances.  With this lock the threads of one process
+#: share one dataset per (code, scale); process-pool workers each regenerate
+#: deterministically from the seed.
 _DATASET_LOCK = threading.Lock()
 
 

@@ -29,7 +29,7 @@ import operator
 import random
 from collections import Counter, deque
 from collections.abc import Sequence
-from itertools import islice
+from itertools import chain, islice
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -337,10 +337,7 @@ class DataSource:
 
     def _build_value_refs(self) -> Counter[str]:
         """Reference counts of every record's value strings (one full pass)."""
-        refs: Counter[str] = Counter()
-        for record in self._records.values():
-            refs.update(_record_strings(record))
-        return refs
+        return Counter(chain.from_iterable(map(_record_strings, self._records.values())))
 
     # ------------------------------------------------------------- delta log
 

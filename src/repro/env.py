@@ -32,7 +32,6 @@ __all__ = [
     "knobs",
     "markdown_table",
     "read_bool",
-    "read_float",
     "read_int",
     "read_str",
     "set_raw",
@@ -47,8 +46,8 @@ _TRUE_VALUES = frozenset({"1", "true", "yes", "on"})
 class EnvKnob:
     """One declared environment knob.
 
-    ``kind`` is the parse discipline (``str`` / ``int`` / ``float`` /
-    ``bool``); ``default`` is returned when the variable is unset, blank or
+    ``kind`` is the parse discipline (``str`` / ``int`` / ``bool``);
+    ``default`` is returned when the variable is unset, blank or
     unparseable — a malformed knob never aborts a run, it degrades loudly
     in the docs' terms ("blank or malformed values fall back to the
     default").
@@ -103,18 +102,11 @@ _register(
     "interrupted benchmark run resumes instead of restarting.",
 )
 _register(
-    "REPRO_ENGINE_RETRIES",
-    "int",
-    2,
-    "Per-invocation transient-retry budget of `PredictionEngine` model "
-    "calls (before batch bisection isolates a poison row).",
-)
-_register(
     "REPRO_EXECUTOR",
     "str",
     "serial",
-    "Sweep executor used by the benchmark harness: `serial`, `threads` or "
-    "`processes`. Rows are identical regardless of executor.",
+    "Sweep executor used by the benchmark harness: `serial` or `processes`. "
+    "Rows are identical regardless of executor.",
 )
 _register(
     "REPRO_FAULT_PLAN",
@@ -129,60 +121,6 @@ _register(
     False,
     "Run the full paper-scale harness configuration (12 datasets, "
     "tau = 100) instead of the quick default.",
-)
-_register(
-    "REPRO_SERVE_DEADLINE",
-    "float",
-    0.0,
-    "Default per-request wall-clock deadline in seconds for the explanation "
-    "service (`repro.serve`); 0 disables the deadline.",
-)
-_register(
-    "REPRO_SERVE_MAX_NODES",
-    "int",
-    0,
-    "Default per-request lattice-node budget for the explanation service; "
-    "0 disables the budget.",
-)
-_register(
-    "REPRO_SERVE_QUEUE_LIMIT",
-    "int",
-    64,
-    "Admission-control bound of the explanation service queue; requests "
-    "arriving past it are shed with an `AdmissionError` response.",
-)
-_register(
-    "REPRO_SERVE_RETRIES",
-    "int",
-    1,
-    "Per-request transient-retry budget of the explanation service (on top "
-    "of the engine's own per-invocation retries).",
-)
-_register(
-    "REPRO_SERVE_WORKERS",
-    "int",
-    4,
-    "Concurrent explanation workers of the explanation service (each runs "
-    "one request at a time against the shared engine).",
-)
-_register(
-    "REPRO_UNIT_BACKOFF",
-    "float",
-    0.05,
-    "Exponential-backoff base in seconds between sweep work-unit retries.",
-)
-_register(
-    "REPRO_UNIT_DEADLINE",
-    "float",
-    0.0,
-    "Per-unit wall-clock deadline in seconds for sweep work units "
-    "(0 disables the deadline).",
-)
-_register(
-    "REPRO_UNIT_RETRIES",
-    "int",
-    2,
-    "Per-unit transient-retry budget of the sweep runner.",
 )
 
 
@@ -211,11 +149,6 @@ def is_set(name: str) -> bool:
     return name in os.environ
 
 
-def _raw(name: str) -> str | None:
-    knob(name)
-    return os.environ.get(name)
-
-
 def read_str(name: str) -> str:
     """The raw string value of ``name``, or its declared default when unset."""
     declared = knob(name)
@@ -235,18 +168,6 @@ def read_int(name: str) -> int:
         return int(raw)
     except ValueError:
         return int(declared.default)  # type: ignore[call-overload]
-
-
-def read_float(name: str) -> float:
-    """``name`` as a float; blank or malformed values fall back to the default."""
-    declared = knob(name)
-    raw = (os.environ.get(name) or "").strip()
-    if not raw:
-        return float(declared.default)  # type: ignore[arg-type]
-    try:
-        return float(raw)
-    except ValueError:
-        return float(declared.default)  # type: ignore[arg-type]
 
 
 def read_bool(name: str) -> bool:

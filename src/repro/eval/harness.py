@@ -8,10 +8,10 @@ results can be printed, asserted on in tests, or serialised.
 Since PR 2 every experiment is **declarative**: a ``*_units`` method
 decomposes the sweep into independent :class:`~repro.eval.runner.WorkUnit`
 cells, the harness's :class:`~repro.eval.runner.SweepRunner` executes them
-(serially, on a thread pool or on a process pool, with optional JSONL
-checkpointing), and the ``*_rows`` method reduces the unit results into the
-table's rows.  The experiment bodies are module-level functions registered by
-name (``@experiment_runner``) so units stay picklable; every row carries a
+(serially or on a process pool, with optional JSONL checkpointing), and the
+``*_rows`` method reduces the unit results into the table's rows.  The
+experiment bodies are module-level functions registered by name
+(``@experiment_runner``) so units stay picklable; every row carries a
 ``skipped`` column counting the pairs whose explanation raised
 :class:`~repro.exceptions.ExplanationError` instead of silently dropping
 them.
@@ -84,10 +84,6 @@ class HarnessConfig:
     dice_candidates: int = 60
     fast_models: bool = True
     seed: int = 7
-    batch_size: int = 256
-    #: Route candidate generation through the per-source token indexes
-    #: (``False`` keeps the full-scan reference path for A/B runs).
-    indexed: bool = True
 
     def with_overrides(self, **overrides) -> "HarnessConfig":
         """Return a copy with some fields replaced."""
@@ -170,12 +166,7 @@ class ExperimentHarness:
     def certa_explainer(self, model: ERModel, code: str, **overrides) -> CertaExplainer:
         """A CERTA explainer wired to the dataset's sources."""
         dataset = self.dataset(code)
-        parameters = {
-            "num_triangles": self.config.num_triangles,
-            "seed": self.config.seed,
-            "batch_size": self.config.batch_size,
-            "indexed": self.config.indexed,
-        }
+        parameters = {"num_triangles": self.config.num_triangles, "seed": self.config.seed}
         parameters.update(overrides)
         return CertaExplainer(model, dataset.left, dataset.right, **parameters)
 
@@ -804,7 +795,6 @@ def _run_augmentation_supply_unit(harness: ExperimentHarness, unit: WorkUnit) ->
             model, pair, dataset.left, dataset.right,
             count=target, seed=harness.config.seed,
             allow_augmentation=False, max_candidates=None,
-            indexed=harness.config.indexed,
         )
         for pair in pairs
     ]

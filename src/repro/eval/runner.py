@@ -3,13 +3,13 @@
 Every experiment of the paper's Section 5 decomposes into independent
 **work units** — one :class:`WorkUnit` per (dataset, model, method,
 pair-batch) cell of a sweep.  The :class:`SweepRunner` executes a list of
-units through a pluggable executor (``serial``, ``threads`` or
-``processes``), checkpoints every completed unit to a JSONL
-:class:`CheckpointStore` and returns a :class:`SweepResult` whose rows are
-deterministically ordered, so that
+units through one of two executors (``serial`` or ``processes``),
+checkpoints every completed unit to a JSONL :class:`CheckpointStore` and
+returns a :class:`SweepResult` whose rows are deterministically ordered, so
+that
 
-* ``serial``, ``threads`` and ``processes`` runs of the same configuration
-  produce **identical row lists**,
+* ``serial`` and ``processes`` runs of the same configuration produce
+  **identical row lists**,
 * an interrupted sweep **resumes** from the checkpoint store (same
   :func:`config_hash` ⇒ completed units are reused verbatim), and
 * a resumed run is byte-for-byte equal to an uninterrupted one (rows are
@@ -45,7 +45,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro import env, faults
+from repro import faults
 from repro.eval.reporting import aggregate_skip_errors, read_jsonl, write_manifest
 from repro.exceptions import DeadlineError, EvaluationError, is_transient
 
@@ -66,34 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports us)
 RUNNER_SCHEMA_VERSION = 2
 
 #: The executors :class:`SweepRunner` supports.
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "processes")
 
-#: Environment knobs of the per-unit retry machinery (overridable per runner;
-#: declared in :mod:`repro.env`).
-UNIT_RETRIES_ENV = "REPRO_UNIT_RETRIES"
-UNIT_DEADLINE_ENV = "REPRO_UNIT_DEADLINE"
-UNIT_BACKOFF_ENV = "REPRO_UNIT_BACKOFF"
-
-#: Defaults: 2 retries, no deadline, 50 ms backoff base, 2 s backoff ceiling.
-DEFAULT_UNIT_RETRIES = env.knob(UNIT_RETRIES_ENV).default
-DEFAULT_UNIT_DEADLINE = env.knob(UNIT_DEADLINE_ENV).default
-DEFAULT_UNIT_BACKOFF = env.knob(UNIT_BACKOFF_ENV).default
+#: Ceiling of the backoff between retries of one unit.
 MAX_BACKOFF_SECONDS = 2.0
-
-
-def unit_retries() -> int:
-    """Per-unit transient-retry budget (``REPRO_UNIT_RETRIES``, default 2)."""
-    return max(0, env.read_int(UNIT_RETRIES_ENV))
-
-
-def unit_deadline() -> float:
-    """Per-unit wall-clock deadline in seconds (``REPRO_UNIT_DEADLINE``, 0 = off)."""
-    return max(0.0, env.read_float(UNIT_DEADLINE_ENV))
-
-
-def unit_backoff() -> float:
-    """Exponential-backoff base in seconds (``REPRO_UNIT_BACKOFF``)."""
-    return max(0.0, env.read_float(UNIT_BACKOFF_ENV))
 
 
 def backoff_delay(base: float, attempt: int, key: str) -> float:
@@ -257,25 +233,27 @@ class UnitOutcome:
 def execute_unit(
     unit: WorkUnit,
     harness: "ExperimentHarness",
-    retries: int | None = None,
-    deadline: float | None = None,
-    backoff: float | None = None,
+    retries: int = 2,
+    deadline: float = 0.0,
+    backoff: float = 0.05,
 ) -> UnitOutcome:
     """Run one unit against ``harness`` with bounded retry, and normalise.
 
     Transient failures (see :func:`repro.exceptions.is_transient`) re-execute
-    up to ``retries`` times with exponential backoff + deterministic jitter;
-    permanent failures raise :class:`EvaluationError` immediately.  With a
-    ``deadline`` set, an attempt that overruns it counts as a transient
+    up to ``retries`` times with exponential backoff (base ``backoff``
+    seconds) + deterministic jitter; permanent failures raise
+    :class:`EvaluationError` immediately.  With a ``deadline`` set (seconds;
+    0 disables it), an attempt that overruns it counts as a transient
     failure while retry budget remains; the *final* attempt's rows are
     accepted late rather than discarded — the experiment bodies are
     deterministic, so a slow correct answer still byte-matches a fast one —
-    with the overrun recorded in ``deadline_exceeded``.
+    with the overrun recorded in ``deadline_exceeded``.  Negative values
+    count as 0.
     """
     function = experiment_function(unit.experiment)
-    retries = unit_retries() if retries is None else max(0, retries)
-    deadline = unit_deadline() if deadline is None else max(0.0, deadline)
-    backoff = unit_backoff() if backoff is None else max(0.0, backoff)
+    retries = max(0, retries)
+    deadline = max(0.0, deadline)
+    backoff = max(0.0, backoff)
     start = time.perf_counter()
     retried = 0
     deadline_exceeded = 0
@@ -339,9 +317,9 @@ def _warm_worker(config: "HarnessConfig", dataset_codes: Sequence[str]) -> None:
 def _execute_in_worker(
     config: "HarnessConfig",
     unit: WorkUnit,
-    retries: int | None = None,
-    deadline: float | None = None,
-    backoff: float | None = None,
+    retries: int,
+    deadline: float,
+    backoff: float,
 ) -> UnitOutcome:
     """Entry point executed inside a worker process."""
     harness = _worker_harness(config)
@@ -433,7 +411,7 @@ class SweepResult:
 
     ``worker_crashes`` counts process-pool breakages the run survived (each
     one is a pool respawn plus a requeue of every in-flight unit); it is
-    always 0 for the ``serial`` and ``threads`` executors.
+    always 0 for the ``serial`` executor.
     """
 
     outcomes: list[UnitOutcome]
@@ -495,18 +473,17 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Executes work units through a pluggable executor with checkpointing.
+    """Executes work units through one of two executors with checkpointing.
 
     Parameters
     ----------
     executor:
-        ``"serial"`` (in-process loop, shares the calling harness),
-        ``"threads"`` (thread pool sharing the calling harness — dataset and
-        model caches are lock-protected) or ``"processes"`` (process pool;
-        each worker warms up its own harness from the pickled configuration).
+        ``"serial"`` (in-process loop, shares the calling harness) or
+        ``"processes"`` (process pool; each worker warms up its own harness
+        from the pickled configuration).
     max_workers:
-        Pool width for the parallel executors (default: CPU count, capped by
-        the number of pending units).
+        Pool width of the ``processes`` executor (default: CPU count, capped
+        by the number of pending units).
     checkpoint:
         Path of a JSONL :class:`CheckpointStore` (or an existing store).
         When set, completed units are persisted as they finish and reused on
@@ -514,10 +491,9 @@ class SweepRunner:
         written next to the store.
     retries / deadline / backoff:
         Per-unit retry budget, wall-clock deadline (seconds, 0 disables) and
-        exponential-backoff base for transient failures.  ``None`` (the
-        default) defers to the ``REPRO_UNIT_RETRIES`` /
-        ``REPRO_UNIT_DEADLINE`` / ``REPRO_UNIT_BACKOFF`` environment
-        variables, which also reach process-pool workers.
+        exponential-backoff base (seconds) for transient failures; negative
+        values count as 0.  Process-pool workers receive them with each
+        unit.  ``retries`` also bounds how often a unit may crash its worker.
     """
 
     def __init__(
@@ -525,26 +501,22 @@ class SweepRunner:
         executor: str = "serial",
         max_workers: int | None = None,
         checkpoint: str | Path | CheckpointStore | None = None,
-        retries: int | None = None,
-        deadline: float | None = None,
-        backoff: float | None = None,
+        retries: int = 2,
+        deadline: float = 0.0,
+        backoff: float = 0.05,
     ) -> None:
         if executor not in EXECUTORS:
             raise EvaluationError(f"unknown executor {executor!r}; available: {EXECUTORS}")
         self.executor = executor
         self.max_workers = max_workers
-        self.retries = retries
-        self.deadline = deadline
-        self.backoff = backoff
+        self.retries = max(0, retries)
+        self.deadline = max(0.0, deadline)
+        self.backoff = max(0.0, backoff)
         self._worker_crashes = 0
         if checkpoint is None or isinstance(checkpoint, CheckpointStore):
             self.store = checkpoint
         else:
             self.store = CheckpointStore(checkpoint)
-
-    def _retry_budget(self) -> int:
-        """The effective per-unit retry budget (constructor arg or env)."""
-        return unit_retries() if self.retries is None else max(0, self.retries)
 
     # ------------------------------------------------------------------- api
 
@@ -623,19 +595,6 @@ class SweepRunner:
                     unit, harness, retries=self.retries, deadline=self.deadline,
                     backoff=self.backoff,
                 )
-        elif self.executor == "threads":
-            with ThreadPoolExecutor(max_workers=self._pool_width(len(pending))) as pool:
-                futures = {
-                    pool.submit(
-                        execute_unit, unit, harness, retries=self.retries,
-                        deadline=self.deadline, backoff=self.backoff,
-                    )
-                    for unit in pending
-                }
-                while futures:
-                    done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        yield future.result()
         else:  # processes
             yield from self._execute_processes(pending, harness)
 
@@ -658,7 +617,7 @@ class SweepRunner:
         warm_codes = sorted({unit.dataset for unit in pending if unit.dataset})
         queue: list[WorkUnit] = list(pending)
         requeues: dict[str, int] = {}
-        crash_budget = self._retry_budget() + 1
+        crash_budget = self.retries + 1
         while queue:
             pool = ProcessPoolExecutor(
                 max_workers=self._pool_width(len(queue)),

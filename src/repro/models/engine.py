@@ -46,26 +46,16 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro import env, faults
+from repro import faults
 from repro.counters import Counters
 from repro.data.records import Record, RecordPair
 from repro.exceptions import ModelError, is_transient
 from repro.models.base import PredictionMixin
 from repro.models.featurizer import FeaturizerStats
 
-#: Environment knob for the per-batch transient-retry budget (declared in
-#: :mod:`repro.env`).
-ENGINE_RETRIES_ENV = "REPRO_ENGINE_RETRIES"
-DEFAULT_ENGINE_RETRIES = env.knob(ENGINE_RETRIES_ENV).default
-
 #: Backoff base between model-invocation retries (kept tiny: model calls are
 #: in-process, so the wait only needs to outlast a momentary glitch).
 _RETRY_BACKOFF_SECONDS = 0.01
-
-
-def engine_retries() -> int:
-    """Per-invocation transient-retry budget (``REPRO_ENGINE_RETRIES``)."""
-    return max(0, env.read_int(ENGINE_RETRIES_ENV))
 
 
 def _record_key(record: Record) -> tuple:
@@ -166,19 +156,22 @@ class PredictionEngine(PredictionMixin):
         Maximum number of pairs per underlying model invocation.  Larger
         values amortise per-call overhead; the default suits the bundled
         numpy matchers.
+    retries:
+        Transient-failure retries per model invocation before a failing
+        chunk is bisected to isolate its poison row (negative means 0).
     """
 
     def __init__(
         self,
         model: SupportsPredictProba,
         batch_size: int = 256,
-        retries: int | None = None,
+        retries: int = 2,
     ) -> None:
         if batch_size <= 0:
             raise ModelError(f"engine batch_size must be positive, got {batch_size}")
         self.model = model
         self.batch_size = batch_size
-        self.retries = retries
+        self.retries = max(0, retries)
         self._cache: dict[tuple, float] = {}
         self._stats = EngineStats()
         #: Guards ``_cache`` / ``_stats`` / ``_inflight`` mutations.  Cache
@@ -369,9 +362,8 @@ class PredictionEngine(PredictionMixin):
         single pair that exhausts its budget raises :class:`ModelError`
         naming the pair; permanent failures propagate immediately.
         """
-        budget = engine_retries() if self.retries is None else max(0, self.retries)
         failure: BaseException | None = None
-        for attempt in range(budget + 1):
+        for attempt in range(self.retries + 1):
             if attempt:
                 tally["retries"] += 1
                 time.sleep(_RETRY_BACKOFF_SECONDS * attempt)
@@ -394,7 +386,7 @@ class PredictionEngine(PredictionMixin):
         pair = chunk[0]
         raise ModelError(
             f"prediction for pair ({pair.left.record_id!r}, {pair.right.record_id!r}) "
-            f"failed after {budget} retr{'y' if budget == 1 else 'ies'}: {failure}"
+            f"failed after {self.retries} retr{'y' if self.retries == 1 else 'ies'}: {failure}"
         ) from failure
 
 

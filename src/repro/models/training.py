@@ -93,11 +93,11 @@ def train_model_zoo(
 class ModelCache:
     """Memoises trained matchers per (dataset content fingerprint, model, fast) key.
 
-    Safe to share across the sweep runner's ``threads`` executor: a per-key
-    event guarantees each matcher is trained exactly once while letting
-    *different* (model, dataset) keys train concurrently.  Process-pool
-    workers don't share the cache at all — each builds its own (training is
-    deterministic, so worker-trained matchers score identically).
+    Safe to share across a caller's threads: a per-key event guarantees each
+    matcher is trained exactly once while letting *different* (model,
+    dataset) keys train concurrently.  Process-pool workers don't share the
+    cache at all — each builds its own (training is deterministic, so
+    worker-trained matchers score identically).
 
     With an :class:`~repro.data.artifacts.ArtifactStore` attached (explicitly
     or via ``REPRO_ARTIFACT_DIR``), a matcher trained in *any* earlier

@@ -31,7 +31,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-from repro import env, faults
+from repro import faults
 from repro.certa.explainer import CertaExplainer
 from repro.data.indexing import DEFAULT_BLOCKING_TOKEN_LENGTH, get_source_index
 from repro.exceptions import BudgetError, ReproError, ServeError, is_transient
@@ -45,13 +45,6 @@ from repro.serve.types import (
     explanation_payload,
 )
 
-#: Environment knobs (declared in :mod:`repro.env`).
-SERVE_WORKERS_ENV = "REPRO_SERVE_WORKERS"
-SERVE_QUEUE_LIMIT_ENV = "REPRO_SERVE_QUEUE_LIMIT"
-SERVE_DEADLINE_ENV = "REPRO_SERVE_DEADLINE"
-SERVE_MAX_NODES_ENV = "REPRO_SERVE_MAX_NODES"
-SERVE_RETRIES_ENV = "REPRO_SERVE_RETRIES"
-
 #: Latency samples retained for the p50/p99 figures (admission-to-response).
 _LATENCY_WINDOW = 4096
 
@@ -63,7 +56,7 @@ class _PreparedTarget:
 
     def __init__(self, target: ServeTarget) -> None:
         self.target = target
-        self.engine = PredictionEngine(target.model, batch_size=target.batch_size)
+        self.engine = PredictionEngine(target.model)
         self.scheduler = FrontierScheduler(self.engine)
 
 
@@ -88,22 +81,24 @@ class _QueueItem:
 class ExplanationService:
     """Serve concurrent CERTA explanations over shared warm state.
 
-    Parameters default to the ``REPRO_SERVE_*`` environment knobs; pass
-    explicit values to override.  ``seal_sources=True`` (the default) seals
-    every target's sources at start-up — the serving contract is read-only
-    data, and sealing enforces it: a mutation raises ``SealedSourceError``.  Use
-    as an async context manager, or call :meth:`start` / :meth:`stop`.
+    ``workers`` requests run at once; admission sheds a request that finds
+    ``queue_limit`` already waiting.  ``default_deadline`` (seconds) and
+    ``default_max_nodes`` (lattice nodes) are the budgets of a request that
+    names none; 0 disables either.  A request retries transient failures up
+    to ``retries`` times.  Start-up seals every target's sources — the
+    serving contract is read-only data, and sealing enforces it: a mutation
+    raises ``SealedSourceError``.  Use as an async context manager, or call
+    :meth:`start` / :meth:`stop`.
     """
 
     def __init__(
         self,
         targets: Sequence[ServeTarget],
-        workers: int | None = None,
-        queue_limit: int | None = None,
-        default_deadline: float | None = None,
-        default_max_nodes: int | None = None,
-        retries: int | None = None,
-        seal_sources: bool = True,
+        workers: int = 4,
+        queue_limit: int = 64,
+        default_deadline: float = 0.0,
+        default_max_nodes: int = 0,
+        retries: int = 1,
     ) -> None:
         if not targets:
             raise ServeError("ExplanationService needs at least one ServeTarget")
@@ -112,18 +107,11 @@ class ExplanationService:
             if target.name in self._targets:
                 raise ServeError(f"duplicate serve target name {target.name!r}")
             self._targets[target.name] = _PreparedTarget(target)
-        self.workers = max(1, workers if workers is not None else env.read_int(SERVE_WORKERS_ENV))
-        self.queue_limit = max(
-            1, queue_limit if queue_limit is not None else env.read_int(SERVE_QUEUE_LIMIT_ENV)
-        )
-        self.default_deadline = (
-            default_deadline if default_deadline is not None else env.read_float(SERVE_DEADLINE_ENV)
-        )
-        self.default_max_nodes = (
-            default_max_nodes if default_max_nodes is not None else env.read_int(SERVE_MAX_NODES_ENV)
-        )
-        self.retries = max(0, retries if retries is not None else env.read_int(SERVE_RETRIES_ENV))
-        self.seal_sources = seal_sources
+        self.workers = max(1, workers)
+        self.queue_limit = max(1, queue_limit)
+        self.default_deadline = default_deadline
+        self.default_max_nodes = default_max_nodes
+        self.retries = max(0, retries)
         self._started = False
         self._queue: "asyncio.Queue[_QueueItem | None] | None" = None
         self._worker_tasks: list["asyncio.Task[None]"] = []
@@ -158,12 +146,8 @@ class ExplanationService:
         for prepared in self._targets.values():
             target = prepared.target
             for source in (target.left_source, target.right_source):
-                if self.seal_sources:
-                    seal = getattr(source, "seal", None)
-                    if seal is not None:
-                        seal()
-                if target.indexed:
-                    get_source_index(source, DEFAULT_BLOCKING_TOKEN_LENGTH).ensure_fresh()
+                source.seal()
+                get_source_index(source, DEFAULT_BLOCKING_TOKEN_LENGTH).ensure_fresh()
             prepared.scheduler.start()
 
     async def stop(self) -> None:
@@ -329,14 +313,8 @@ class ExplanationService:
             target.left_source,
             target.right_source,
             num_triangles=request.num_triangles or target.num_triangles,
-            monotone=target.monotone,
-            allow_augmentation=target.allow_augmentation,
-            max_candidates=target.max_candidates,
-            max_examples=target.max_examples,
             seed=target.seed,
             engine=prepared.engine,
-            batched=target.batched,
-            indexed=target.indexed,
             scheduler=predictor,
         )
         return explainer.explain_full(request.pair, request.num_triangles)
@@ -375,10 +353,13 @@ class ExplanationService:
 
 
 def _percentile(sorted_values: list[float], quantile: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
+    """Nearest-rank percentile of an ascending list (0.0 when empty).
+
+    The ceil(quantile * n)-th smallest value.  The ceiling is taken in
+    integers, over the quantile in thousandths: in floats 0.07 * 100 reads
+    7.000000000000001 and would take the 8th value.
+    """
     if not sorted_values:
         return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(round(quantile * len(sorted_values))) - 1))
-    if quantile >= 1.0 or len(sorted_values) == 1:
-        rank = int(quantile * (len(sorted_values) - 1))
-    return sorted_values[rank]
+    rank = -(-round(quantile * 1000) * len(sorted_values) // 1000)
+    return sorted_values[min(max(rank, 1), len(sorted_values)) - 1]

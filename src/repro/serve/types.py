@@ -26,9 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 class ServeTarget:
     """One servable (model, left source, right source) configuration.
 
-    The explainer knobs mirror :class:`~repro.certa.explainer.CertaExplainer`
-    defaults except ``num_triangles`` (20: interactive latency over paper
-    fidelity) — a request may still override the triangle count per call.
+    The service explains with :class:`~repro.certa.explainer.CertaExplainer`
+    and scores with :class:`~repro.models.engine.PredictionEngine` at their
+    defaults, except ``num_triangles`` (20: interactive latency over paper
+    fidelity; a request may override it) and the explainer's ``seed``.
     """
 
     name: str
@@ -37,22 +38,16 @@ class ServeTarget:
     right_source: DataSource
     num_triangles: int = 20
     seed: int = 0
-    max_candidates: int | None = 400
-    max_examples: int = 10
-    monotone: bool = True
-    allow_augmentation: bool = True
-    indexed: bool = True
-    batched: bool = True
-    batch_size: int = 256
 
 
 @dataclass(frozen=True, eq=False)
 class ExplainRequest:
     """One explanation request: which target, which pair, which budgets.
 
-    ``None`` budgets inherit the service defaults (the ``REPRO_SERVE_*``
-    knobs); explicit values override per request.  ``deadline_seconds``
-    starts counting at admission, so time spent queued eats into it.
+    ``None`` budgets inherit the service's ``default_deadline`` and
+    ``default_max_nodes``; explicit values override per request.
+    ``deadline_seconds`` starts counting at admission, so time spent queued
+    eats into it.
     """
 
     target: str

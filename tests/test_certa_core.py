@@ -21,6 +21,7 @@ from repro.data.records import RecordPair
 from repro.data.table import DataSource
 from repro.exceptions import ExplanationError, TriangleError
 from repro.models.base import MATCH_THRESHOLD
+from repro.serve.types import explanation_payload
 
 from tests.helpers import LEFT_SCHEMA, make_record
 
@@ -426,11 +427,33 @@ class TestCertaExplainer:
 
     def test_lenient_mode_returns_degenerate_explanation(self, constant_model, sources, match_pair):
         left, right = sources
-        explainer = CertaExplainer(constant_model, left, right, num_triangles=4, strict=False, seed=0)
-        explanation = explainer.explain_full(match_pair)
-        assert explanation.triangles_used == 0
-        assert all(score == 0.0 for score in explanation.saliency.scores.values())
-        assert explanation.counterfactual.examples == []
+        zeros = {
+            f"{side}_{attribute}": 0.0
+            for side in ("left", "right")
+            for attribute in ("description", "name", "price")
+        }
+        for batched in (True, False):
+            explainer = CertaExplainer(
+                constant_model, left, right, num_triangles=4, strict=False, seed=0,
+                batched=batched,
+            )
+            explanation = explainer.explain_full(match_pair)
+            assert explanation_payload(explanation) == {
+                "prediction": 0.9,
+                "saliency": zeros,
+                "counterfactual": {"attribute_set": [], "sufficiency": 0.0, "examples": []},
+                "triangles_used": 0,
+                "triangles_requested": 4,
+                "augmented_triangles": 0,
+                "flips": 0,
+                "performed_predictions": 0,
+                "saved_predictions": 0,
+                "sufficiency_by_set": {},
+            }
+            assert explanation.saliency.metadata == {"triangles": 0.0, "flips": 0.0}
+            assert explanation.counterfactual.metadata == {"candidate_sets": 0.0}
+            assert explanation.exploration == []
+            assert explanation.lattice_batches() == 0
 
     def test_more_triangles_never_reduces_triangles_used(self, explainer, similarity_model, sources, match_pair):
         left, right = sources

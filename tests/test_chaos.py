@@ -42,12 +42,7 @@ import pytest
 from repro import env, faults
 from repro.data.artifacts import ArtifactStore, write_atomic_npz, write_atomic_text
 from repro.eval.harness import ExperimentHarness, HarnessConfig
-from repro.eval.runner import (
-    SweepRunner,
-    unit_backoff,
-    unit_deadline,
-    unit_retries,
-)
+from repro.eval.runner import SweepRunner, WorkUnit, execute_unit, experiment_runner
 from repro.exceptions import EvaluationError, ModelError, is_transient
 from repro.faults import FaultPlan, FaultPlanError, FaultRule, InjectedFault
 from repro.models.engine import PredictionEngine
@@ -170,13 +165,23 @@ class TestFaultPlanMechanics:
         faults.install_plan(shared)
         assert faults.fault_step("unit.body") is None
 
-    def test_env_knobs_parse_and_clamp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_UNIT_RETRIES", "5")
-        monkeypatch.setenv("REPRO_UNIT_DEADLINE", "-3")
-        monkeypatch.setenv("REPRO_UNIT_BACKOFF", "not-a-number")
-        assert unit_retries() == 5
-        assert unit_deadline() == 0.0  # clamped at zero
-        assert unit_backoff() == 0.05  # unparseable: default
+    def test_negative_unit_budgets_clamp_at_zero(self):
+        runner = SweepRunner(retries=-1, deadline=-3.0, backoff=-1.0)
+        assert (runner.retries, runner.deadline, runner.backoff) == (0, 0.0, 0.0)
+
+        @experiment_runner("test_one_row")
+        def _one_row(harness, unit):  # registered for this test only
+            return [{"value": 1}], 0
+
+        unit, harness = WorkUnit("test_one_row"), ExperimentHarness(CONFIG)
+        budgets = dict(retries=-1, deadline=-3.0, backoff=-1.0)
+        # A negative deadline is no deadline, not one that every attempt overruns.
+        outcome = execute_unit(unit, harness, **budgets)
+        assert (outcome.retried, outcome.deadline_exceeded) == (0, 0)
+        # A negative retry budget is none: the first transient fault is final.
+        faults.install_plan(plan(FaultRule(scope="unit.body", times=1)))
+        with pytest.raises(EvaluationError, match="test_one_row"):
+            execute_unit(unit, harness, **budgets)
 
 
 # -------------------------------------------------------------- artifact store

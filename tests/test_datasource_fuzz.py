@@ -20,7 +20,9 @@ a lucky query order might not surface — and a truncation variant re-runs the
 sequences with a delta log too short to replay, exercising the
 rebuild-fallback path against the same oracles.  After every mutation the
 source's record order must also equal a plain-list model of the same
-mutations: the order decides triangle candidates.
+mutations: the order decides triangle candidates.  And the mutation's
+journalled ``retired_values`` must be exactly the replaced record's strings
+that no live record holds, recounted from the records.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import pytest
 from repro.data.blocking import token_blocking, top_k_neighbours
 from repro.data.indexing import SourceTokenIndex, get_source_index
 from repro.data.records import Record, RecordPair
-from repro.data.table import DataSource
+from repro.data.table import DataSource, _record_strings
 from repro.certa.triangles import find_open_triangles
 
 from tests.helpers import LEFT_SCHEMA, SimilarityModel, make_record, toy_sources
@@ -135,6 +137,21 @@ def _assert_structural_equivalence(source: DataSource) -> None:
     assert maintained.canonical_state() == rebuilt.canonical_state()
 
 
+def _assert_retired_values(source: DataSource) -> None:
+    """The latest delta retires exactly the strings of ``old`` no live record holds.
+
+    Recounted from the records, independently of the source's refcounts.
+    """
+    deltas = source.deltas_since(source.data_version - 1)
+    if not deltas:  # a zero-length delta log journals nothing
+        return
+    delta = deltas[-1]
+    live = {value for record in source for value in _record_strings(record)}
+    old = set(_record_strings(delta.old)) if delta.old is not None else set()
+    assert len(set(delta.retired_values)) == len(delta.retired_values)
+    assert set(delta.retired_values) == old - live
+
+
 def _run_sequence(seed: int, delta_log_limit: int | None = None) -> tuple[DataSource, DataSource]:
     """One seeded lifecycle fuzz sequence with per-mutation equivalence checks."""
     rng = random.Random(seed)
@@ -149,6 +166,7 @@ def _run_sequence(seed: int, delta_log_limit: int | None = None) -> tuple[DataSo
         target, other = (left, right) if rng.random() < 0.5 else (right, left)
         _apply_to_model(model_ids[target.name], *_apply_random_mutation(rng, target, counter))
         assert target.ids() == model_ids[target.name]
+        _assert_retired_values(target)
         queries = rng.sample(list(other), min(2, len(other)))
         _assert_ranking_equivalence(target, queries)
         _assert_blocking_equivalence(left, right)

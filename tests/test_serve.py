@@ -48,6 +48,7 @@ from repro.serve import (
     ServeTarget,
     explanation_payload,
 )
+from repro.serve.service import _percentile
 
 from tests.helpers import SimilarityModel, toy_pairs, toy_sources
 
@@ -529,15 +530,6 @@ class TestServicePlumbing:
 
         asyncio.run(main())
 
-    def test_seal_sources_false_leaves_sources_mutable(self, similarity_model):
-        target = make_target(model=similarity_model)
-
-        async def main():
-            async with ExplanationService([target], seal_sources=False):
-                assert not target.left_source.sealed
-
-        asyncio.run(main())
-
     def test_stats_roundtrip_and_latency_percentiles(self):
         target = make_target()
         pairs = toy_pairs(target.left_source, target.right_source)[:2]
@@ -547,6 +539,20 @@ class TestServicePlumbing:
         assert payload["requests"] == 6 and payload["completed"] == 6
         assert payload["p50_latency_ms"] > 0.0
         assert payload["p99_latency_ms"] >= payload["p50_latency_ms"]
+
+    @pytest.mark.parametrize(
+        "samples, quantile, expected",
+        [
+            pytest.param(range(1, 6), 0.50, 3, id="p50-of-5"),  # rank 2.5 rounds up, not to even
+            pytest.param(range(1, 10), 0.50, 5, id="p50-of-9"),
+            pytest.param([1, 2], 0.50, 1, id="p50-of-2"),
+            pytest.param(range(1, 101), 0.99, 99, id="p99-of-100"),
+            pytest.param([7.5], 0.99, 7.5, id="single"),
+            pytest.param([], 0.50, 0.0, id="empty"),
+        ],
+    )
+    def test_latency_percentile_is_the_nearest_rank(self, samples, quantile, expected):
+        assert _percentile([float(value) for value in samples], quantile) == expected
 
     def test_explanation_payload_is_deterministic(self, similarity_model, match_pair):
         left, right = toy_sources()

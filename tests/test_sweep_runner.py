@@ -2,7 +2,7 @@
 
 The contract under test (see ``repro/eval/runner.py``):
 
-* ``serial``, ``threads`` and ``processes`` executors produce identical,
+* ``serial`` and ``processes`` executors produce identical,
   deterministically-ordered row lists for the same configuration;
 * an interrupted sweep (simulated by truncating the checkpoint store) resumes
   and its merged rows equal an uninterrupted run's, byte for byte;
@@ -146,19 +146,15 @@ class TestCheckpointStore:
 class TestExecutorEquivalence:
     """Satellite: serial vs parallel executors must return identical rows."""
 
-    def test_threads_match_serial(self, serial_rows):
-        runner = SweepRunner(executor="threads", max_workers=4)
-        rows = ExperimentHarness(TINY, runner=runner).saliency_rows(methods=METHODS)
-        assert rows == serial_rows
-
     def test_processes_match_serial(self, serial_rows):
         runner = SweepRunner(executor="processes", max_workers=2)
         rows = ExperimentHarness(TINY, runner=runner).saliency_rows(methods=METHODS)
         assert rows == serial_rows
 
-    def test_unknown_executor_rejected(self):
+    @pytest.mark.parametrize("executor", ["fleet", "threads"])
+    def test_unknown_executor_rejected(self, executor):
         with pytest.raises(EvaluationError, match="unknown executor"):
-            SweepRunner(executor="fleet")
+            SweepRunner(executor=executor)
 
     def test_rows_are_in_canonical_unit_order(self, serial_rows):
         keys = [(row["dataset"], row["model"], row["method"]) for row in serial_rows]
