@@ -5,7 +5,6 @@ from repro.certa.explainer import CertaExplainer, CertaExplanation
 from repro.certa.lattice import (
     AttributeLattice,
     ExplorationStats,
-    LatticeNode,
     explore_lattice,
     explore_lattices,
     monotonicity_violations,
@@ -19,7 +18,6 @@ __all__ = [
     "CertaExplainer",
     "CertaExplanation",
     "ExplorationStats",
-    "LatticeNode",
     "OpenTriangle",
     "TokenSaliency",
     "TriangleSearchResult",

@@ -41,26 +41,6 @@ from repro.certa.lattice import (
 from repro.certa.perturbation import perturbed_pair
 from repro.certa.triangles import OpenTriangle, TriangleSearchResult, find_open_triangles
 
-#: ``(side, attributes)`` keys of ``sufficiency_by_set``, shared by every
-#: explanation as the lattices share the frozensets inside them
-#: (``repro.certa.lattice._node_keys``): a retained explanation then holds
-#: no key tuple of its own.  Emptied once it holds
-#: :data:`_SUFFICIENCY_KEY_LIMIT` keys.
-_SUFFICIENCY_KEYS: dict[tuple[str, frozenset[str]], tuple[str, frozenset[str]]] = {}
-_SUFFICIENCY_KEY_LIMIT = 1 << 12
-
-
-def _sufficiency_key(side: str, attributes: frozenset[str]) -> tuple[str, frozenset[str]]:
-    """The shared ``(side, attributes)`` tuple."""
-    key = (side, attributes)
-    shared = _SUFFICIENCY_KEYS.get(key)
-    if shared is None:
-        if len(_SUFFICIENCY_KEYS) >= _SUFFICIENCY_KEY_LIMIT:
-            _SUFFICIENCY_KEYS.clear()
-        shared = _SUFFICIENCY_KEYS.setdefault(key, key)
-    return shared
-
-
 @dataclass
 class CertaExplanation:
     """The full CERTA output: saliency plus counterfactuals plus diagnostics."""
@@ -299,17 +279,19 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
         lattice_engine_stats = self.engine.stats - exploration_start
 
         for triangle, lattice in zip(search.triangles, lattices):
-            triangles_by_side[triangle.side] += 1
-            candidate_sets = set(lattice.candidate_sets())
-            for node in lattice.flipped_nodes():
-                flips += 1
-                for attribute in node.attributes:
-                    name = prefixed_attribute(triangle.side, attribute)
+            side = triangle.side
+            triangles_by_side[side] += 1
+            flipped = lattice.flipped_nodes()
+            flips += len(flipped)
+            for mask in flipped:
+                for attribute in lattice.table.sets[mask]:
+                    name = prefixed_attribute(side, attribute)
                     necessity[name] = necessity.get(name, 0) + 1
-                if node.attributes in candidate_sets:
-                    key = _sufficiency_key(triangle.side, node.attributes)
-                    sufficiency[key] = sufficiency.get(key, 0) + 1
-                    flipping_triangles.setdefault(key, []).append(triangle)
+            keys = lattice.table.keys[side]
+            for mask in lattice.candidate_sets():
+                key = keys[mask]
+                sufficiency[key] = sufficiency.get(key, 0) + 1
+                flipping_triangles.setdefault(key, []).append(triangle)
 
         # Saliency scores (probability of necessity, Equation 1).
         saliency_scores: dict[str, float] = {}

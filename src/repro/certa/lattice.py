@@ -9,6 +9,15 @@ classifier assumption a flip at node ``A`` implies a flip at every superset of
 cannot be inferred — the saved predictions are quantified in Table 7 of the
 paper.
 
+A node is an int mask over the lattice's attribute tuple: bit ``i`` stands
+for ``attributes[i]``.  What depends on the attribute tuple alone — each
+mask's frozenset, the breadth-first order and the ``(side, attributes)`` keys
+of an explanation's ``sufficiency_by_set`` — lives in one
+:class:`SchemaTable` per tuple, shared by every lattice over that tuple; a
+lattice holds only its per-mask flip tags and evaluated flags.  Propagation
+walks the supersets of a mask by bit arithmetic (Knuth, TAOCP Vol. 4A,
+§7.1.3).
+
 Two exploration drivers share those semantics: :func:`explore_lattice` walks
 one lattice node-by-node (the reference implementation), while
 :func:`explore_lattices` synchronises the breadth-first frontier across many
@@ -18,29 +27,10 @@ lattices so each level can be resolved with one batched model call (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import LatticeError
-
-
-@dataclass
-class LatticeNode:
-    """One subset of attributes with its flip tag and provenance."""
-
-    attributes: frozenset[str]
-    flip: bool | None = None
-    evaluated: bool = False  # True when the model was actually called
-
-    @property
-    def size(self) -> int:
-        return len(self.attributes)
-
-    @property
-    def tagged(self) -> bool:
-        """Whether the node has a flip / non-flip tag (tested or inferred)."""
-        return self.flip is not None
 
 
 @dataclass
@@ -75,151 +65,148 @@ class ExplorationStats:
         return self.expected_predictions - self.performed_predictions
 
 
-#: Node keys per attribute tuple, shared by every lattice over that tuple.
-#: An explanation's ``sufficiency_by_set`` keeps its lattices' keys, so
-#: private keys would cost each retained explanation one frozenset per entry.
-#: A plain dict rather than ``functools.lru_cache``: benchmark cold starts
-#: empty every library ``cache_clear``, which would make the keys private
-#: again.  It holds attribute-name subsets only, nothing a matcher decides.
-_NODE_KEYS: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
+@dataclass(frozen=True)
+class SchemaTable:
+    """What every lattice over one attribute tuple shares, indexed by mask.
 
-#: Schemas :data:`_NODE_KEYS` holds before it is emptied.
-_NODE_KEY_SCHEMAS = 32
+    An explanation's ``sufficiency_by_set`` keeps its lattices' keys, so
+    keys private to a lattice would cost each retained explanation one
+    frozenset and one tuple per entry.
+    """
+
+    #: Mask -> attribute frozenset (``sets[0]`` is the empty set).
+    sets: tuple[frozenset[str], ...]
+    #: The non-empty masks by size, then by sorted attribute names: the order
+    #: that fixes frontier batches and the insertion order of
+    #: ``sufficiency_by_set``.
+    order: tuple[int, ...]
+    #: ``order`` split by size, level 1 first.
+    levels: tuple[tuple[int, ...], ...]
+    #: Triangle side -> mask -> the ``(side, attributes)`` key.
+    keys: dict[str, tuple[tuple[str, frozenset[str]], ...]]
 
 
-def _node_keys(attributes: tuple[str, ...]) -> tuple[frozenset[str], ...]:
-    """The non-empty subsets of ``attributes``, by size then combination order."""
-    keys = _NODE_KEYS.get(attributes)
-    if keys is None:
-        if len(_NODE_KEYS) >= _NODE_KEY_SCHEMAS:
-            _NODE_KEYS.clear()
-        keys = tuple(
-            frozenset(subset)
-            for size in range(1, len(attributes) + 1)
-            for subset in combinations(attributes, size)
+#: Schema tables by attribute tuple.  A plain dict rather than
+#: ``functools.lru_cache``: benchmark cold starts empty every library
+#: ``cache_clear``, which would make the keys private again.  It holds
+#: attribute-name subsets only, nothing a matcher decides.
+_SCHEMA_TABLES: dict[tuple[str, ...], SchemaTable] = {}
+
+#: Schemas :data:`_SCHEMA_TABLES` holds before it is emptied.
+_SCHEMA_TABLE_LIMIT = 32
+
+
+def _schema_table(attributes: tuple[str, ...]) -> SchemaTable:
+    """The shared table of the lattices over ``attributes``."""
+    table = _SCHEMA_TABLES.get(attributes)
+    if table is None:
+        if len(_SCHEMA_TABLES) >= _SCHEMA_TABLE_LIMIT:
+            _SCHEMA_TABLES.clear()
+        sets = tuple(
+            frozenset(name for bit, name in enumerate(attributes) if mask >> bit & 1)
+            for mask in range(1 << len(attributes))
+        )
+        order = tuple(
+            sorted(range(1, len(sets)), key=lambda mask: (len(sets[mask]), sorted(sets[mask])))
+        )
+        table = SchemaTable(
+            sets=sets,
+            order=order,
+            levels=tuple(
+                tuple(mask for mask in order if len(sets[mask]) == size)
+                for size in range(1, len(attributes) + 1)
+            ),
+            keys={side: tuple((side, subset) for subset in sets) for side in ("left", "right")},
         )
         # Two threads building a schema's first lattice at once compute equal
-        # tuples; ``setdefault`` hands both the one stored first.
-        keys = _NODE_KEYS.setdefault(attributes, keys)
-    return keys
+        # tables; ``setdefault`` hands both the one stored first.
+        table = _SCHEMA_TABLES.setdefault(attributes, table)
+    return table
 
 
 class AttributeLattice:
     """Powerset lattice over the attributes of one record schema.
 
-    The empty set is excluded (perturbing nothing can never flip); the full
-    attribute set is included and tagged, but Equation 3 excludes it from the
-    counterfactual argmax, which :meth:`candidate_sets` honours.
-
-    The node keys (attribute frozensets) are shared with every lattice over
-    the same attribute tuple; the :class:`LatticeNode` objects, whose flip
-    tags belong to one triangle, are this lattice's own.
+    Its nodes are the masks ``1 .. full``.  The empty set is excluded
+    (perturbing nothing can never flip); the full attribute set is included
+    and tagged, but Equation 3 excludes it from the counterfactual argmax,
+    which :meth:`candidate_sets` honours.  ``flips[mask]`` is a node's tag
+    (``None`` until tested or inferred) and ``evaluated[mask]`` is True when
+    the model was actually called for it.
     """
 
     def __init__(self, attributes: Sequence[str]) -> None:
-        attributes = list(attributes)
+        attributes = tuple(attributes)
         if not attributes:
             raise LatticeError("cannot build a lattice over zero attributes")
         if len(set(attributes)) != len(attributes):
-            raise LatticeError(f"duplicate attributes in lattice: {attributes}")
-        self.attributes = tuple(attributes)
-        self._nodes: dict[frozenset[str], LatticeNode] = {
-            key: LatticeNode(attributes=key) for key in _node_keys(self.attributes)
-        }
-
-    # ------------------------------------------------------------------ access
+            raise LatticeError(f"duplicate attributes in lattice: {list(attributes)}")
+        self.attributes = attributes
+        self.table = _schema_table(attributes)
+        self.full = (1 << len(attributes)) - 1
+        self.flips: list[bool | None] = [None] * (self.full + 1)
+        self.evaluated = [False] * (self.full + 1)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self.full
 
-    def __contains__(self, attributes: Iterable[str]) -> bool:
-        return frozenset(attributes) in self._nodes
-
-    def node(self, attributes: Iterable[str]) -> LatticeNode:
-        """The node for a given attribute set."""
-        key = frozenset(attributes)
-        try:
-            return self._nodes[key]
-        except KeyError as exc:
-            raise LatticeError(f"attribute set {sorted(key)} not in lattice") from exc
-
-    def nodes(self) -> list[LatticeNode]:
-        """All nodes, ordered by subset size then lexicographically."""
-        return sorted(self._nodes.values(), key=lambda node: (node.size, tuple(sorted(node.attributes))))
-
-    def levels(self) -> list[list[LatticeNode]]:
-        """Nodes grouped by subset size (level 1 first)."""
-        grouped: dict[int, list[LatticeNode]] = {}
-        for node in self.nodes():
-            grouped.setdefault(node.size, []).append(node)
-        return [grouped[size] for size in sorted(grouped)]
-
-    def supersets(self, attributes: Iterable[str], strict: bool = True) -> list[LatticeNode]:
-        """All (strict) superset nodes of an attribute set."""
-        key = frozenset(attributes)
-        result = []
-        for node in self._nodes.values():
-            if key < node.attributes or (not strict and key == node.attributes):
-                result.append(node)
-        return result
-
-    def subsets(self, attributes: Iterable[str], strict: bool = True) -> list[LatticeNode]:
-        """All (strict) non-empty subset nodes of an attribute set."""
-        key = frozenset(attributes)
-        result = []
-        for node in self._nodes.values():
-            if node.attributes < key or (not strict and node.attributes == key):
-                result.append(node)
-        return result
+    def mask(self, attributes: Iterable[str]) -> int:
+        """The node of an attribute set."""
+        mask = 0
+        for name in attributes:
+            if name not in self.attributes:
+                raise LatticeError(f"attribute {name!r} not in lattice {list(self.attributes)}")
+            mask |= 1 << self.attributes.index(name)
+        if not mask:
+            raise LatticeError("the empty attribute set is not a lattice node")
+        return mask
 
     # ----------------------------------------------------------------- tagging
 
-    def tag(self, attributes: Iterable[str], flip: bool, evaluated: bool = True) -> None:
+    def tag(self, mask: int, flip: bool, evaluated: bool = True) -> None:
         """Tag one node with a flip / non-flip outcome."""
-        node = self.node(attributes)
-        node.flip = flip
-        node.evaluated = evaluated
+        self.flips[mask] = flip
+        self.evaluated[mask] = evaluated
 
-    def propagate_flip(self, attributes: Iterable[str]) -> int:
-        """Infer a flip for every untagged superset (monotone assumption).
+    def propagate_flip(self, mask: int) -> int:
+        """Infer a flip for every untagged strict superset (monotone assumption).
 
         Returns the number of nodes whose tag was inferred by this call.
         """
+        flips, full = self.flips, self.full
         inferred = 0
-        for node in self.supersets(attributes, strict=True):
-            if node.flip is None:
-                node.flip = True
-                node.evaluated = False
+        superset = mask
+        while superset != full:
+            # The next larger mask that keeps every bit of ``mask``.
+            superset = (superset + 1) | mask
+            if flips[superset] is None:
+                flips[superset] = True
                 inferred += 1
         return inferred
 
     # ------------------------------------------------------------------ queries
 
-    def flipped_nodes(self) -> list[LatticeNode]:
-        """All nodes tagged as flips (tested or inferred)."""
-        return [node for node in self.nodes() if node.flip]
-
-    def evaluated_nodes(self) -> list[LatticeNode]:
-        """All nodes whose tag came from an actual model call."""
-        return [node for node in self.nodes() if node.tagged and node.evaluated]
+    def flipped_nodes(self) -> list[int]:
+        """The masks tagged as flips (tested or inferred), breadth-first."""
+        flips = self.flips
+        return [mask for mask in self.table.order if flips[mask]]
 
     def minimal_flipping_antichain(self) -> list[frozenset[str]]:
         """The minimal flipping antichain: flips none of whose subsets flip."""
-        flipped = {node.attributes for node in self.flipped_nodes()}
-        antichain = []
-        for attributes in flipped:
-            if not any(other < attributes for other in flipped):
-                antichain.append(attributes)
-        return sorted(antichain, key=lambda item: (len(item), tuple(sorted(item))))
+        flipped = self.flipped_nodes()
+        return [
+            self.table.sets[mask]
+            for mask in flipped
+            if not any(other != mask and other & mask == other for other in flipped)
+        ]
 
-    def candidate_sets(self) -> list[frozenset[str]]:
-        """Flipped attribute sets eligible as counterfactual sets (Eq. 3).
+    def candidate_sets(self) -> list[int]:
+        """Flipped masks eligible as counterfactual sets (Eq. 3), breadth-first.
 
         The full attribute set is excluded: a counterfactual that rewrites the
         whole record is not considered an explanation.
         """
-        full = frozenset(self.attributes)
-        return [node.attributes for node in self.flipped_nodes() if node.attributes != full]
+        return [mask for mask in self.flipped_nodes() if mask != self.full]
 
 
 def _infer_full_set_tag(lattice: AttributeLattice) -> None:
@@ -228,11 +215,7 @@ def _infer_full_set_tag(lattice: AttributeLattice) -> None:
     Shared by both exploration drivers so the never-evaluated full set keeps
     byte-identical semantics on the sequential and batched paths.
     """
-    full = frozenset(lattice.attributes)
-    any_flip = any(
-        node.flip for node in lattice.nodes() if node.tagged and node.attributes != full
-    )
-    lattice.tag(full, bool(any_flip), evaluated=False)
+    lattice.tag(lattice.full, any(lattice.flips[1 : lattice.full]), evaluated=False)
 
 
 def explore_lattice(
@@ -253,19 +236,18 @@ def explore_lattice(
     to non-flip.  This keeps the "expected predictions" budget at ``2^l - 2``.
     """
     performed = 0
-    full_set = frozenset(lattice.attributes)
-    for level in lattice.levels():
-        for node in level:
-            if node.tagged:
-                continue
-            if node.attributes == full_set and len(lattice.attributes) > 1:
-                _infer_full_set_tag(lattice)
-                continue
-            flip = bool(evaluate(node.attributes))
-            performed += 1
-            lattice.tag(node.attributes, flip, evaluated=True)
-            if flip and monotone:
-                lattice.propagate_flip(node.attributes)
+    flips, sets = lattice.flips, lattice.table.sets
+    for mask in lattice.table.order:
+        if flips[mask] is not None:
+            continue
+        if mask == lattice.full and len(lattice.attributes) > 1:
+            _infer_full_set_tag(lattice)
+            continue
+        flip = bool(evaluate(sets[mask]))
+        performed += 1
+        lattice.tag(mask, flip, evaluated=True)
+        if flip and monotone:
+            lattice.propagate_flip(mask)
     expected = 2 ** len(lattice.attributes) - 2  # paper counts neither the empty nor the full set
     return ExplorationStats(
         attributes=len(lattice.attributes),
@@ -307,37 +289,37 @@ def explore_lattices(
     performed = [0] * len(lattices)
     rounds = [0] * len(lattices)
     largest = [0] * len(lattices)
-    full_sets = [frozenset(lattice.attributes) for lattice in lattices]
-    levels_by_lattice = [lattice.levels() for lattice in lattices]
     max_levels = max((len(lattice.attributes) for lattice in lattices), default=0)
 
-    for level in range(1, max_levels + 1):
-        requests: list[tuple[int, LatticeNode]] = []
+    for level in range(max_levels):
+        requests: list[tuple[int, int]] = []
         for index, lattice in enumerate(lattices):
-            if level > len(lattice.attributes):
+            if level >= len(lattice.attributes):
                 continue
-            for node in levels_by_lattice[index][level - 1]:
-                if node.tagged:
+            for mask in lattice.table.levels[level]:
+                if lattice.flips[mask] is not None:
                     continue
-                if node.attributes == full_sets[index] and len(lattice.attributes) > 1:
+                if mask == lattice.full and len(lattice.attributes) > 1:
                     _infer_full_set_tag(lattice)
                     continue
-                requests.append((index, node))
+                requests.append((index, mask))
         if not requests:
             continue
-        verdicts = list(evaluate_batch([(index, node.attributes) for index, node in requests]))
+        verdicts = list(
+            evaluate_batch([(index, lattices[index].table.sets[mask]) for index, mask in requests])
+        )
         if len(verdicts) != len(requests):
             raise LatticeError(
                 f"evaluate_batch returned {len(verdicts)} verdicts for {len(requests)} requests"
             )
         contributions: dict[int, int] = {}
-        for (index, node), verdict in zip(requests, verdicts):
+        for (index, mask), verdict in zip(requests, verdicts):
             flip = bool(verdict)
-            lattices[index].tag(node.attributes, flip, evaluated=True)
+            lattices[index].tag(mask, flip, evaluated=True)
             performed[index] += 1
             contributions[index] = contributions.get(index, 0) + 1
             if flip and monotone:
-                lattices[index].propagate_flip(node.attributes)
+                lattices[index].propagate_flip(mask)
         for index, count in contributions.items():
             rounds[index] += 1
             largest[index] = max(largest[index], count)
@@ -357,26 +339,23 @@ def explore_lattices(
 def monotonicity_violations(
     lattice_attributes: Sequence[str],
     evaluate: Callable[[frozenset[str]], bool],
-) -> tuple[AttributeLattice, AttributeLattice, int, int]:
+) -> tuple[ExplorationStats, int]:
     """Compare monotone exploration against exhaustive evaluation on one lattice.
 
-    Returns ``(monotone_lattice, exhaustive_lattice, saved, wrong)`` where
-    ``saved`` is the number of predictions the monotone mode skipped and
-    ``wrong`` is the number of skipped nodes whose inferred tag disagrees with
-    the true (exhaustively computed) tag.  This feeds the error-rate column of
+    Returns ``(stats, wrong)``: the :class:`ExplorationStats` of the monotone
+    exploration, whose ``saved_predictions`` are the predictions it skipped,
+    and the number of skipped nodes whose inferred tag disagrees with the
+    true (exhaustively computed) tag.  This feeds the error-rate column of
     Table 7.
     """
     monotone_lattice = AttributeLattice(lattice_attributes)
-    monotone_stats = explore_lattice(monotone_lattice, evaluate, monotone=True)
+    stats = explore_lattice(monotone_lattice, evaluate, monotone=True)
     exhaustive_lattice = AttributeLattice(lattice_attributes)
     explore_lattice(exhaustive_lattice, evaluate, monotone=False)
-
-    wrong = 0
-    for node in monotone_lattice.nodes():
-        if node.evaluated:
-            continue
-        true_flip = exhaustive_lattice.node(node.attributes).flip
-        if node.flip != true_flip:
-            wrong += 1
-    saved = monotone_stats.saved_predictions
-    return monotone_lattice, exhaustive_lattice, saved, wrong
+    wrong = sum(
+        1
+        for mask in monotone_lattice.table.order
+        if not monotone_lattice.evaluated[mask]
+        and monotone_lattice.flips[mask] != exhaustive_lattice.flips[mask]
+    )
+    return stats, wrong

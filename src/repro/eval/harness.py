@@ -760,13 +760,11 @@ def _run_monotonicity_unit(harness: ExperimentHarness, unit: WorkUnit) -> tuple[
                 score = model.predict_pair(perturbed)
                 return (score > MATCH_THRESHOLD) != original_match
 
-            monotone_lattice, _, saved, wrong = monotonicity_violations(free_attributes, evaluate)
-            expected = 2 ** len(free_attributes) - 2
-            performed = len(monotone_lattice.evaluated_nodes())
-            expected_values.append(expected)
-            performed_values.append(performed)
-            saved_values.append(saved)
-            saved_total += saved
+            stats, wrong = monotonicity_violations(free_attributes, evaluate)
+            expected_values.append(stats.expected_predictions)
+            performed_values.append(stats.performed_predictions)
+            saved_values.append(stats.saved_predictions)
+            saved_total += stats.saved_predictions
             wrong_total += wrong
     if not expected_values:
         return [], 0

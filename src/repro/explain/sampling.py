@@ -127,19 +127,16 @@ def sample_binary_perturbations(
     n_samples: int,
     operator: str = "drop",
     rng: random.Random | None = None,
-    include_original: bool = True,
 ) -> tuple[list[str], list[BinaryPerturbationSample]]:
     """Draw random on/off perturbations of the pair's attributes.
 
     Returns the prefixed attribute names (feature order) and the sampled
-    perturbations.  The original pair (all-ones mask) is always included first
-    when ``include_original`` is set, which anchors the local surrogate model.
+    perturbations.  The original pair (all-ones mask) comes first: it anchors
+    the local surrogate model, which reads its score as ``scores[0]``.
     """
     rng = rng or random.Random(0)
     names = list(pair_attribute_names(pair))
-    samples: list[BinaryPerturbationSample] = []
-    if include_original:
-        samples.append(BinaryPerturbationSample(mask=np.ones(len(names)), pair=pair))
+    samples = [BinaryPerturbationSample(mask=np.ones(len(names)), pair=pair)]
     for _ in range(n_samples):
         mask = np.array([rng.random() < 0.5 for _ in names], dtype=np.float64)
         if mask.sum() == len(names):

@@ -37,13 +37,11 @@ class SedcCounterfactualExplainer(CounterfactualExplainer):
         model: ERModel,
         saliency_explainer: SaliencyExplainer,
         max_attributes: int | None = None,
-        collect_intermediate: bool = True,
         engine: PredictionEngine | None = None,
     ) -> None:
         super().__init__(model, engine=engine)
         self.saliency_explainer = saliency_explainer
         self.max_attributes = max_attributes
-        self.collect_intermediate = collect_intermediate
 
     def explain_counterfactual(self, pair: RecordPair) -> CounterfactualExplanation:
         """Perturb attributes in descending saliency order until the prediction flips.
@@ -63,41 +61,22 @@ class SedcCounterfactualExplainer(CounterfactualExplainer):
 
         examples: list[CounterfactualExample] = []
         flipped_set: tuple[str, ...] = ()
-        if self.collect_intermediate:
-            # Every prefix of the ranking is scored regardless of where the
-            # first flip lands, so the whole greedy path is one batched call.
-            prefixes = [ranking[: size + 1] for size in range(len(ranking))]
-            perturbed_pairs = [
-                perturb_pair(pair, prefix, operator=operator) for prefix in prefixes
-            ]
-            scores = self.engine.predict_proba(perturbed_pairs)
-            for prefix, perturbed, score in zip(prefixes, perturbed_pairs, scores):
-                example = CounterfactualExample(
-                    pair=perturbed,
-                    changed_attributes=tuple(prefix),
-                    score=float(score),
-                    original_score=original_score,
-                )
-                if example.flipped:
-                    examples.append(example)
-                    if not flipped_set:
-                        flipped_set = tuple(prefix)
-        else:
-            active: list[str] = []
-            for name in ranking:
-                active.append(name)
-                perturbed = perturb_pair(pair, active, operator=operator)
-                score = float(self.engine.predict_pair(perturbed))
-                example = CounterfactualExample(
-                    pair=perturbed,
-                    changed_attributes=tuple(active),
-                    score=score,
-                    original_score=original_score,
-                )
-                if example.flipped:
-                    examples.append(example)
-                    flipped_set = tuple(active)
-                    break
+        # Every prefix of the ranking is scored regardless of where the first
+        # flip lands, so the whole greedy path is one batched call.
+        prefixes = [ranking[: size + 1] for size in range(len(ranking))]
+        perturbed_pairs = [perturb_pair(pair, prefix, operator=operator) for prefix in prefixes]
+        scores = self.engine.predict_proba(perturbed_pairs)
+        for prefix, perturbed, score in zip(prefixes, perturbed_pairs, scores):
+            example = CounterfactualExample(
+                pair=perturbed,
+                changed_attributes=tuple(prefix),
+                score=float(score),
+                original_score=original_score,
+            )
+            if example.flipped:
+                examples.append(example)
+                if not flipped_set:
+                    flipped_set = tuple(prefix)
         return CounterfactualExplanation(
             pair=pair,
             prediction=original_score,

@@ -2,7 +2,7 @@
 
 from repro.models.base import MATCH_THRESHOLD, ERModel, TrainingReport
 from repro.models.classical import ClassicalMatcher
-from repro.models.engine import EngineStats, PredictionEngine, as_engine, pair_cache_key
+from repro.models.engine import EngineStats, PredictionEngine, pair_cache_key
 from repro.models.deeper import DeepERModel
 from repro.models.deepmatcher import DeepMatcherModel
 from repro.models.ditto import DittoModel
@@ -58,7 +58,6 @@ __all__ = [
     "TrainedModel",
     "TrainingReport",
     "accuracy_score",
-    "as_engine",
     "classification_report",
     "confusion_counts",
     "f1_score",

@@ -388,13 +388,3 @@ class PredictionEngine(PredictionMixin):
             f"prediction for pair ({pair.left.record_id!r}, {pair.right.record_id!r}) "
             f"failed after {self.retries} retr{'y' if self.retries == 1 else 'ies'}: {failure}"
         ) from failure
-
-
-def as_engine(
-    model_or_engine: SupportsPredictProba | PredictionEngine,
-    batch_size: int = 256,
-) -> PredictionEngine:
-    """Coerce a model into an engine; an existing engine is passed through."""
-    if isinstance(model_or_engine, PredictionEngine):
-        return model_or_engine
-    return PredictionEngine(model_or_engine, batch_size=batch_size)

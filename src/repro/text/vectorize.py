@@ -37,7 +37,6 @@ class HashingVectorizer:
 
     n_features: int = 512
     seed: int = 0
-    use_signs: bool = True
     #: token -> (bucket, sign), so each distinct token is hashed once.
     _buckets: dict[str, tuple[int, float]] = field(default_factory=dict, repr=False, compare=False)
 
@@ -49,7 +48,7 @@ class HashingVectorizer:
             entry = buckets.get(token)
             if entry is None:
                 bucket_hash = stable_token_hash(token, seed=self.seed)
-                sign = -1.0 if self.use_signs and (bucket_hash >> 32) % 2 == 1 else 1.0
+                sign = -1.0 if (bucket_hash >> 32) % 2 == 1 else 1.0
                 entry = buckets[token] = (bucket_hash % self.n_features, sign)
             bucket, sign = entry
             vector[bucket] += sign

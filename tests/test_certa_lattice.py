@@ -31,42 +31,54 @@ class TestLatticeConstruction:
             AttributeLattice(["a", "a"])
 
     def test_levels_are_ordered_by_size(self):
-        lattice = AttributeLattice(["a", "b", "c"])
-        levels = lattice.levels()
-        assert [len(level) for level in levels] == [3, 3, 1]
+        # Breadth-first: by size, then by sorted names, whatever the tuple order.
+        lattice = AttributeLattice(["c", "a", "b"])
+        table = lattice.table
+        assert [len(level) for level in table.levels] == [3, 3, 1]
+        names = ["".join(sorted(table.sets[mask])) for mask in table.order]
+        assert names == ["a", "b", "c", "ab", "ac", "bc", "abc"]
+        assert [mask for level in table.levels for mask in level] == list(table.order)
 
     def test_supersets_and_subsets(self):
+        # Masks are bit sets over the attribute tuple: bit i is attributes[i].
         lattice = AttributeLattice(["a", "b", "c"])
-        supersets = {frozenset(node.attributes) for node in lattice.supersets(["a"])}
+        sets = lattice.table.sets
+        assert [sets[1 << bit] for bit in range(3)] == [frozenset(name) for name in "abc"]
+        lattice.tag(lattice.mask(["a"]), True)
+        lattice.propagate_flip(lattice.mask(["a"]))
+        supersets = {sets[mask] for mask in lattice.flipped_nodes()} - {frozenset("a")}
         assert supersets == {frozenset("ab"), frozenset("ac"), frozenset("abc")}
-        subsets = {frozenset(node.attributes) for node in lattice.subsets(["a", "b"])}
+        ab = lattice.mask(["a", "b"])
+        subsets = {sets[mask] for mask in lattice.table.order if mask & ab == mask != ab}
         assert subsets == {frozenset("a"), frozenset("b")}
 
     def test_node_lookup_unknown_set(self):
         lattice = AttributeLattice(["a"])
         with pytest.raises(LatticeError):
-            lattice.node(["b"])
+            lattice.mask(["b"])
+        with pytest.raises(LatticeError):
+            lattice.mask([])
 
     def test_contains(self):
         lattice = AttributeLattice(["a", "b"])
-        assert ["a", "b"] in lattice
-        assert ["c"] not in lattice
+        assert lattice.mask(["b", "a"]) == lattice.full == 0b11
+        assert lattice.mask(["b"]) == 0b10
+        with pytest.raises(LatticeError):
+            lattice.mask(["c"])
 
 
 class TestSharedNodeKeys:
-    """Lattices over one attribute tuple share key frozensets, never nodes."""
+    """Lattices over one attribute tuple share one schema table, never tags."""
 
     def test_lattices_share_key_objects_but_not_nodes(self):
         first = AttributeLattice(["title", "brand", "price"])
         second = AttributeLattice(["title", "brand", "price"])
-        for node in first.nodes():
-            twin = second.node(node.attributes)
-            assert twin.attributes is node.attributes
-            assert twin is not node
-        first.tag(["title"], True)
-        first.propagate_flip(["title"])
-        assert first.node(["title", "price"]).flip is True
-        assert not any(node.tagged for node in second.nodes())
+        assert second.table is first.table
+        assert first.flips is not second.flips
+        first.tag(first.mask(["title"]), True)
+        first.propagate_flip(first.mask(["title"]))
+        assert first.flips[first.mask(["title", "price"])] is True
+        assert not any(tag is not None for tag in second.flips)
 
     def test_cold_explanations_share_sufficiency_keys(self):
         dataset = load_benchmark("IA", scale=0.5)
@@ -95,33 +107,34 @@ class TestSharedNodeKeys:
 class TestTaggingAndPropagation:
     def test_propagate_flip_marks_supersets_as_inferred(self):
         lattice = AttributeLattice(["a", "b", "c"])
-        lattice.tag(["a"], True)
-        inferred = lattice.propagate_flip(["a"])
+        lattice.tag(lattice.mask(["a"]), True)
+        inferred = lattice.propagate_flip(lattice.mask(["a"]))
         assert inferred == 3
-        assert lattice.node(["a", "b"]).flip is True
-        assert lattice.node(["a", "b"]).evaluated is False
+        assert lattice.flips[lattice.mask(["a", "b"])] is True
+        assert lattice.evaluated[lattice.mask(["a", "b"])] is False
+        assert lattice.flips[lattice.mask(["b", "c"])] is None
 
     def test_propagate_does_not_overwrite_tested_nodes(self):
         lattice = AttributeLattice(["a", "b"])
-        lattice.tag(["a", "b"], False, evaluated=True)
-        lattice.tag(["a"], True)
-        lattice.propagate_flip(["a"])
-        assert lattice.node(["a", "b"]).flip is False
+        lattice.tag(lattice.mask(["a", "b"]), False, evaluated=True)
+        lattice.tag(lattice.mask(["a"]), True)
+        assert lattice.propagate_flip(lattice.mask(["a"])) == 0
+        assert lattice.flips[lattice.mask(["a", "b"])] is False
 
     def test_minimal_flipping_antichain(self):
         lattice = AttributeLattice(["N", "D", "P"])
         for subset in (["N"], ["D"], ["N", "D"], ["N", "P"], ["D", "P"], ["N", "D", "P"]):
-            lattice.tag(subset, True)
-        lattice.tag(["P"], False)
+            lattice.tag(lattice.mask(subset), True)
+        lattice.tag(lattice.mask(["P"]), False)
         antichain = lattice.minimal_flipping_antichain()
         assert antichain == [frozenset({"D"}), frozenset({"N"})]
 
     def test_candidate_sets_exclude_full_set(self):
         lattice = AttributeLattice(["a", "b"])
-        lattice.tag(["a"], True)
-        lattice.tag(["a", "b"], True)
-        assert frozenset({"a", "b"}) not in lattice.candidate_sets()
-        assert frozenset({"a"}) in lattice.candidate_sets()
+        lattice.tag(lattice.mask(["a"]), True)
+        lattice.tag(lattice.mask(["a", "b"]), True)
+        assert lattice.full not in lattice.candidate_sets()
+        assert lattice.candidate_sets() == [lattice.mask(["a"])]
 
 
 class TestExploration:
@@ -134,11 +147,11 @@ class TestExploration:
     def test_exhaustive_exploration_tags_every_node(self):
         lattice = AttributeLattice(["a", "b", "c"])
         stats = explore_lattice(lattice, lambda attrs: len(attrs) >= 2, monotone=False)
-        assert all(node.tagged for node in lattice.nodes())
+        assert all(lattice.flips[mask] is not None for mask in lattice.table.order)
         # Every node except the (never-evaluated) full set is tested explicitly.
         assert stats.performed_predictions == stats.expected_predictions
-        assert lattice.node(["a", "b", "c"]).evaluated is False
-        assert lattice.node(["a", "b", "c"]).flip is True
+        assert lattice.evaluated[lattice.full] is False
+        assert lattice.flips[lattice.full] is True
 
     def test_monotone_and_exhaustive_agree_for_monotone_functions(self):
         def truly_monotone(attrs):
@@ -148,22 +161,21 @@ class TestExploration:
         explore_lattice(monotone_lattice, truly_monotone, monotone=True)
         exhaustive_lattice = AttributeLattice(["a", "b", "c", "d"])
         explore_lattice(exhaustive_lattice, truly_monotone, monotone=False)
-        for node in monotone_lattice.nodes():
-            assert node.flip == exhaustive_lattice.node(node.attributes).flip
+        assert monotone_lattice.flips == exhaustive_lattice.flips
 
     def test_monotonicity_violations_detects_non_monotone_function(self):
         # Flips on {a} but NOT on {a, b}: violates monotonicity.
         def non_monotone(attrs):
             return attrs == frozenset({"a"})
 
-        _, __, saved, wrong = monotonicity_violations(["a", "b", "c"], non_monotone)
-        assert saved > 0
+        stats, wrong = monotonicity_violations(["a", "b", "c"], non_monotone)
+        assert stats.saved_predictions > 0
         assert wrong > 0
 
     def test_monotonicity_violations_zero_for_monotone_function(self):
-        _, __, saved, wrong = monotonicity_violations(["a", "b", "c"], lambda attrs: "a" in attrs)
+        stats, wrong = monotonicity_violations(["a", "b", "c"], lambda attrs: "a" in attrs)
         assert wrong == 0
-        assert saved > 0
+        assert stats.saved_predictions > 0
 
     @given(st.integers(min_value=2, max_value=5))
     @settings(max_examples=10, deadline=None)
@@ -213,8 +225,8 @@ class TestPaperWorkedExample:
         lattices = self._tagged_lattices()
         counts = {"N": 0, "D": 0, "P": 0}
         for lattice in lattices.values():
-            for node in lattice.flipped_nodes():
-                for attribute in node.attributes:
+            for mask in lattice.flipped_nodes():
+                for attribute in lattice.table.sets[mask]:
                     counts[attribute] += 1
         assert counts["N"] == 15
         assert counts["P"] == 11
@@ -223,9 +235,9 @@ class TestPaperWorkedExample:
 
     def test_sufficiency_of_singletons(self):
         lattices = self._tagged_lattices()
-        chi_n = sum(1 for lattice in lattices.values() if lattice.node(["N"]).flip) / 4
-        chi_d = sum(1 for lattice in lattices.values() if lattice.node(["D"]).flip) / 4
-        chi_p = sum(1 for lattice in lattices.values() if lattice.node(["P"]).flip) / 4
+        chi_n = sum(1 for lattice in lattices.values() if lattice.flips[lattice.mask(["N"])]) / 4
+        chi_d = sum(1 for lattice in lattices.values() if lattice.flips[lattice.mask(["D"])]) / 4
+        chi_p = sum(1 for lattice in lattices.values() if lattice.flips[lattice.mask(["P"])]) / 4
         assert chi_n == pytest.approx(3 / 4)
         assert chi_d == pytest.approx(1 / 4)
         assert chi_p == 0.0
@@ -234,7 +246,7 @@ class TestPaperWorkedExample:
         lattices = self._tagged_lattices()
 
         def chi(attrs):
-            return sum(1 for lattice in lattices.values() if lattice.node(attrs).flip) / 4
+            return sum(1 for lattice in lattices.values() if lattice.flips[lattice.mask(attrs)]) / 4
 
         assert chi(["N", "D"]) == 1.0
         assert chi(["N", "P"]) == 1.0

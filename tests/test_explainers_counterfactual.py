@@ -84,15 +84,6 @@ class TestSedcFamily:
         assert explanation.examples == []
         assert explanation.sufficiency == 0.0
 
-    def test_collect_intermediate_false_stops_at_first_flip(self, similarity_model, match_pair):
-        explainer = SedcCounterfactualExplainer(
-            similarity_model,
-            LimeExplainer(similarity_model, n_samples=40, seed=0),
-            collect_intermediate=False,
-        )
-        explanation = explainer.explain_counterfactual(match_pair)
-        assert explanation.count() <= 1
-
     def test_max_attributes_limits_search(self, similarity_model, match_pair):
         explainer = SedcCounterfactualExplainer(
             similarity_model,

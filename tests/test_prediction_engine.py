@@ -36,7 +36,7 @@ from repro.data.records import RecordPair
 from repro.data.table import DataSource
 from repro.exceptions import LatticeError, ModelError
 from repro.models import engine as engine_module
-from repro.models.engine import EngineStats, PredictionEngine, as_engine
+from repro.models.engine import EngineStats, PredictionEngine
 
 from tests.helpers import SimilarityModel, make_record, toy_pairs, toy_sources
 
@@ -185,11 +185,6 @@ class TestEngineCache:
         with pytest.raises(ModelError):
             PredictionEngine(SimilarityModel(), batch_size=0)
 
-    def test_as_engine_passthrough(self):
-        engine = PredictionEngine(SimilarityModel())
-        assert as_engine(engine) is engine
-        assert isinstance(as_engine(SimilarityModel()), PredictionEngine)
-
     def test_stats_delta_subtraction(self, labelled_pairs):
         engine = PredictionEngine(SimilarityModel())
         engine.predict_proba(labelled_pairs[:3])
@@ -248,10 +243,8 @@ class TestEngineStats:
 
 class TestFrontierEquivalence:
     def _assert_lattices_identical(self, batched: AttributeLattice, sequential: AttributeLattice):
-        for node in sequential.nodes():
-            twin = batched.node(node.attributes)
-            assert twin.flip == node.flip
-            assert twin.evaluated == node.evaluated
+        assert batched.flips == sequential.flips
+        assert batched.evaluated == sequential.evaluated
 
     @given(flip_sets=subset_strategy(), monotone=st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -307,7 +300,7 @@ class TestFrontierEquivalence:
     def test_single_attribute_lattice_is_evaluated(self):
         lattice = AttributeLattice(["only"])
         stats = explore_lattices([lattice], lambda requests: [True] * len(requests))[0]
-        assert lattice.node(["only"]).evaluated is True
+        assert lattice.evaluated[lattice.mask(["only"])] is True
         assert stats.performed_predictions == 1
 
     def test_batched_rounds_bounded_by_levels(self):
@@ -344,15 +337,14 @@ class TestMonotoneInvariants:
                 for _, attributes in requests
             ],
         )
-        flipped = {node.attributes for node in lattice.flipped_nodes()}
-        for node in lattice.nodes():
-            assert node.tagged
-            if node.flip:
-                for superset in lattice.supersets(node.attributes):
-                    assert superset.flip, "superset of a flip must flip"
-            else:
-                for subset in lattice.subsets(node.attributes):
-                    assert not subset.flip, "subset of a non-flip must not flip"
+        flipped = lattice.flipped_nodes()
+        for mask in lattice.table.order:
+            assert lattice.flips[mask] is not None
+            for other in lattice.table.order:
+                if lattice.flips[mask] and other & mask == mask != other:
+                    assert lattice.flips[other], "superset of a flip must flip"
+                if not lattice.flips[mask] and other & mask == other != mask:
+                    assert not lattice.flips[other], "subset of a non-flip must not flip"
         # The minimal antichain is exactly the minimal triggers.
         minimal = {
             trigger
@@ -375,13 +367,15 @@ class TestMonotoneInvariants:
                 for _, attributes in requests
             ],
         )[0]
-        evaluated = len(lattice.evaluated_nodes())
+        evaluated = sum(lattice.evaluated)
         assert stats.performed_predictions == evaluated
         assert stats.expected_predictions == 2 ** len(ATTRIBUTES) - 2
         assert stats.saved_predictions == stats.expected_predictions - evaluated
         # Every non-evaluated node except the (never counted) full set was inferred.
         inferred = sum(
-            1 for node in lattice.nodes() if node.tagged and not node.evaluated
+            1
+            for mask in lattice.table.order
+            if lattice.flips[mask] is not None and not lattice.evaluated[mask]
         )
         assert inferred == stats.saved_predictions + 1  # + the full attribute set
         assert 0 < stats.batched_rounds <= len(ATTRIBUTES)

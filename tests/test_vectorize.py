@@ -72,9 +72,7 @@ class TestHashingVectorizer:
         for token in tokenize(text):
             bucket_hash = stable_token_hash(token, seed=vectorizer.seed)
             bucket = bucket_hash % vectorizer.n_features
-            sign = 1.0
-            if vectorizer.use_signs and (bucket_hash >> 32) % 2 == 1:
-                sign = -1.0
+            sign = -1.0 if (bucket_hash >> 32) % 2 == 1 else 1.0
             vector[bucket] += sign
         norm = np.linalg.norm(vector)
         if norm > 0:
@@ -83,12 +81,11 @@ class TestHashingVectorizer:
 
     @given(
         st.lists(st.text(alphabet=unicode_chars, max_size=40), max_size=6),
-        st.booleans(),
         st.integers(min_value=1, max_value=64),
     )
     @settings(max_examples=100, deadline=None)
-    def test_interned_buckets_match_the_md5_loop_bit_for_bit(self, texts, use_signs, n_features):
-        vectorizer = HashingVectorizer(n_features=n_features, seed=5, use_signs=use_signs)
+    def test_interned_buckets_match_the_md5_loop_bit_for_bit(self, texts, n_features):
+        vectorizer = HashingVectorizer(n_features=n_features, seed=5)
         for text in texts + texts:  # the second pass reads the token table
             expected = self.md5_transform_text(vectorizer, text)
             assert vectorizer.transform_text(text).tobytes() == expected.tobytes()
@@ -97,7 +94,7 @@ class TestHashingVectorizer:
         vectorizer = HashingVectorizer(n_features=64, seed=3)
         fresh_repr = repr(vectorizer)
         vector = vectorizer.transform_text("sony bravia theater sony")
-        assert fresh_repr == "HashingVectorizer(n_features=64, seed=3, use_signs=True)"
+        assert fresh_repr == "HashingVectorizer(n_features=64, seed=3)"
         assert repr(vectorizer) == fresh_repr
         assert vectorizer == HashingVectorizer(n_features=64, seed=3)
         assert vectorizer != HashingVectorizer(n_features=64, seed=4)
