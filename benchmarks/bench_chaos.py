@@ -1,9 +1,8 @@
 """Chaos hardening: fault-free overhead and recovery cost of the robust paths.
 
-The fault-injection PR threads retry loops, deadline checks, fsync barriers
-and degradation guards through the sweep runner, the artifact store and the
-prediction engine.  This benchmark pins the two costs that
-hardening is allowed to have:
+Retry loops, deadline checks and fsync barriers run through the sweep
+runner, the atomic writers and the prediction engine.  This benchmark pins
+the two costs that hardening is allowed to have:
 
 * **fault-free overhead** — the same serial saliency sweep is executed with
   the hardening effectively disabled (``retries=0``, no deadline, no

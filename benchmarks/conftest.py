@@ -6,7 +6,7 @@ dataset) and print their table to stdout; CSV copies land in
 ``benchmarks/results/``.
 
 The harness executes every experiment through the work-unit sweep runner
-(:mod:`repro.eval.runner`); no benchmark file hand-rolls a sweep loop.  Three
+(:mod:`repro.eval.runner`); no benchmark file hand-rolls a sweep loop.  Two
 environment variables control execution:
 
 * ``REPRO_EXECUTOR`` — ``serial`` (default) or ``processes``: how work
@@ -15,10 +15,6 @@ environment variables control execution:
   ``benchmarks/results/checkpoints/benchmark_units.jsonl`` so an interrupted
   benchmark run resumes from where it stopped (delete the file, or change the
   configuration, to force a fresh sweep).
-* ``REPRO_ARTIFACT_DIR=<dir>`` — persist trained matcher weights to
-  ``<dir>``; a re-run in a fresh process loads every matcher the dataset
-  fingerprint proves unchanged instead of retraining (see
-  :mod:`repro.data.artifacts`).
 
 Saliency and counterfactual rows are shared between tables through
 session-scoped fixtures (``saliency_rows`` / ``counterfactual_rows``), so the

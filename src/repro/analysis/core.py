@@ -9,7 +9,7 @@ The moving parts:
   contract it guards (rendered into ``docs/lint-rules.md``).
 * :class:`FileContext` — everything a rule may inspect: the AST, the raw
   text, the file's scope, and the module-level string constants (so a rule
-  can resolve ``os.environ.get(ARTIFACT_DIR_ENV)`` to its literal value).
+  can resolve ``os.environ.get(FAULT_PLAN_ENV)`` to its literal value).
 * suppressions — ``# repro-lint: disable=RULE001 -- reason`` comments.  A
   suppression **must** carry at least one rule id and a reason; comments are
   extracted with :mod:`tokenize`, so the directive inside a string literal
@@ -142,7 +142,7 @@ class FileContext:
     text: str
     tree: ast.Module
     #: Module-level ``NAME = "literal"`` string constants, for resolving
-    #: indirect knob names like ``os.environ.get(ARTIFACT_DIR_ENV)``.
+    #: indirect knob names like ``os.environ.get(FAULT_PLAN_ENV)``.
     constants: dict[str, str] = field(default_factory=dict)
 
     def is_module(self, *suffixes: str) -> bool:

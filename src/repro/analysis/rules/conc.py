@@ -1,9 +1,9 @@
 """CONC — lock-discipline rules.
 
-``ModelCache``, ``CheckpointStore``, the artifact store and the prediction
-engine may be shared across a caller's threads, and the serve layer runs
-explanation requests on a thread pool; their invariants hold because every
-mutation of shared state happens under the object's lock.
+``ModelCache``, ``CheckpointStore`` and the prediction engine may be shared
+across a caller's threads, and the serve layer runs explanation requests on
+a thread pool; their invariants hold because every mutation of shared state
+happens under the object's lock.
 These rules check the discipline class-locally: state mutated under
 ``with self.<lock>:`` anywhere in a class must be mutated under it
 everywhere (CONC001), and a non-reentrant ``threading.Lock`` must not be

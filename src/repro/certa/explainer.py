@@ -20,7 +20,6 @@ from typing import Sequence
 from repro.data.indexing import IndexStats
 from repro.data.records import RecordPair
 from repro.data.table import DataSource
-from repro.exceptions import ExplanationError
 from repro.explain.base import (
     CounterfactualExample,
     CounterfactualExplainer,
@@ -40,6 +39,10 @@ from repro.certa.lattice import (
 )
 from repro.certa.perturbation import perturbed_pair
 from repro.certa.triangles import OpenTriangle, TriangleSearchResult, find_open_triangles
+
+#: Counterfactual examples kept per explanation: the flipping triangles of A*.
+MAX_EXAMPLES = 10
+
 
 @dataclass
 class CertaExplanation:
@@ -136,8 +139,6 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
         allow_augmentation: bool = True,
         force_augmentation: bool = False,
         max_candidates: int | None = 400,
-        max_examples: int = 10,
-        strict: bool = False,
         seed: int = 0,
         engine: PredictionEngine | None = None,
         batched: bool = True,
@@ -161,8 +162,6 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
         self.allow_augmentation = allow_augmentation
         self.force_augmentation = force_augmentation
         self.max_candidates = max_candidates
-        self.max_examples = max_examples
-        self.strict = strict
         self.seed = seed
         self.batched = batched
         self.indexed = indexed
@@ -260,12 +259,7 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
         search = self._find_triangles(pair, num_triangles)
         # Without triangles every count below stays zero, so the explanation
         # is all-zero (as in the released CERTA implementation: the metrics
-        # penalise the method for that pair) unless ``strict`` refuses it.
-        if not search.triangles and self.strict:
-            raise ExplanationError(
-                "no open triangles could be found for this prediction; "
-                "the data sources contain no record with the opposite prediction"
-            )
+        # penalise the method for that pair).
 
         # Counters of Algorithm 1: necessity N[a], sufficiency S[A], flips f.
         necessity: dict[str, int] = {}
@@ -317,26 +311,20 @@ class CertaExplainer(SaliencyExplainer, CounterfactualExplainer):
             probability = count / (triangles_by_side[key[0]] or 1)
             sufficiency_probability[key] = probabilities.setdefault(probability, probability)
 
-        # Golden attribute set A* (Equation 3): max sufficiency, then smallest set.
-        best_key: tuple[str, frozenset[str]] | None = None
-        best_probability = 0.0
-        for key, probability in sorted(
-            sufficiency_probability.items(), key=lambda item: (item[0][0], tuple(sorted(item[0][1])))
-        ):
-            if probability > best_probability or (
-                best_key is not None
-                and probability == best_probability
-                and len(key[1]) < len(best_key[1])
-            ):
-                best_probability = probability
-                best_key = key
+        # Golden attribute set A* (Equation 3): max sufficiency, then the
+        # smallest set, then side and names so ties resolve deterministically.
+        best_key, best_probability = min(
+            sufficiency_probability.items(),
+            key=lambda item: (-item[1], len(item[0][1]), item[0][0], tuple(sorted(item[0][1]))),
+            default=(None, 0.0),
+        )
 
         examples: list[CounterfactualExample] = []
         attribute_set: tuple[str, ...] = ()
         if best_key is not None:
             side, attributes = best_key
             attribute_set = tuple(sorted(prefixed_attribute(side, attribute) for attribute in attributes))
-            for triangle in flipping_triangles.get(best_key, [])[: self.max_examples]:
+            for triangle in flipping_triangles[best_key][:MAX_EXAMPLES]:
                 perturbed = perturbed_pair(triangle.pair, side, triangle.support, attributes)
                 score = float(self.predictor.predict_pair(perturbed))
                 examples.append(

@@ -1,8 +1,8 @@
 """One counter protocol for the library's ``*Stats`` snapshots.
 
-The prediction engine, the featurizer, the token index, the artifact store
-and the explanation service each report their counters as an immutable
-snapshot.  :class:`Counters` is the arithmetic those snapshots share:
+The prediction engine, the featurizer, the token index and the explanation
+service each report their counters as an immutable snapshot.
+:class:`Counters` is the arithmetic those snapshots share:
 
 * ``a + b`` is the fieldwise sum (totals across explanations, indexes or
   schedulers), and :meth:`Counters.total` sums a whole sequence;

@@ -19,7 +19,8 @@ the log has been truncated past the version a consumer saw last,
 :meth:`~DataSource.deltas_since` returns ``None`` and the consumer rebuilds.
 The version and the log are the whole freshness contract: no edit can
 bypass them.  The content hash (:meth:`~DataSource.content_hash`) is
-computed on demand, for model-artifact keys and saved-dataset verification.
+computed on demand, for :class:`~repro.models.training.ModelCache` keys and
+saved-dataset verification.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ from repro.exceptions import DatasetError, SchemaError, SealedSourceError
 #: Version of the content-hash formula.  Recorded by
 #: :func:`repro.data.io.save_dataset` so a dataset saved under an older
 #: formula is reloaded without integrity verification instead of being
-#: misreported as tampered with.  Bump together with
-#: :data:`repro.data.artifacts.ARTIFACT_SCHEMA_VERSION` whenever the formula
-#: changes.
+#: misreported as tampered with.  Bump it whenever the formula changes.
 CONTENT_HASH_VERSION = 2
 
 #: Default bound on the per-source delta log.  Large enough that every
@@ -232,9 +231,9 @@ class DataSource:
         order) hash identically.  Computed on demand and cached per
         :attr:`data_version`; per-record digests are cached on the immutable
         records, so a recompute costs one pass over cached hex strings.
-        Model-artifact keys (:func:`repro.data.artifacts.dataset_fingerprint`)
-        and saved-dataset verification (:mod:`repro.data.io`) read it;
-        freshness of derived structures does not.
+        :class:`~repro.models.training.ModelCache` keys and saved-dataset
+        verification (:mod:`repro.data.io`) read it; freshness of derived
+        structures does not.
         """
         state = self._hash_state
         if state is None or state[0] != self._data_version:

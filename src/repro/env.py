@@ -74,13 +74,6 @@ def _register(name: str, kind: str, default: object, description: str) -> EnvKno
 # Keep alphabetical: the README table is generated in this order.
 
 _register(
-    "REPRO_ARTIFACT_DIR",
-    "str",
-    "",
-    "Directory of the process-wide artifact store; unset/empty disables "
-    "persistence (see `repro.data.artifacts.default_store`).",
-)
-_register(
     "REPRO_BENCH_FAST",
     "bool",
     False,

@@ -38,7 +38,6 @@ from repro.certa.explainer import CertaExplainer, CertaExplanation
 from repro.certa.lattice import monotonicity_violations
 from repro.certa.perturbation import perturbed_pair
 from repro.certa.triangles import find_open_triangles
-from repro.data.artifacts import ArtifactStore, default_store
 from repro.data.dataset import ERDataset
 from repro.data.indexing import IndexStats
 from repro.data.records import RecordPair
@@ -118,28 +117,19 @@ class ExperimentHarness:
     executed.  The default is an in-process serial runner; pass
     ``SweepRunner(executor="processes", checkpoint=...)`` for a parallel,
     resumable sweep — the rows are identical either way.
-
-    ``artifact_store`` (default: the ``REPRO_ARTIFACT_DIR`` store, if the
-    variable is set) persists trained matcher weights across processes: the
-    next run loads them instead of retraining, each reuse validated by the
-    dataset fingerprint.
     """
 
     def __init__(
         self,
         config: HarnessConfig | None = None,
         runner: SweepRunner | None = None,
-        artifact_store: ArtifactStore | None = None,
     ) -> None:
         self.config = config or default_config()
         self.runner = runner or SweepRunner()
-        self.artifact_store = artifact_store if artifact_store is not None else default_store()
         self.last_sweep: SweepResult | None = None
         self._datasets: dict[str, ERDataset] = {}
         self._datasets_lock = threading.Lock()
-        self._model_cache = ModelCache(
-            fast=self.config.fast_models, artifact_store=self.artifact_store
-        )
+        self._model_cache = ModelCache(fast=self.config.fast_models)
 
     # ------------------------------------------------------------ data / models
 

@@ -24,11 +24,6 @@ and model training are deterministic, so a worker-trained matcher scores
 pairs exactly like the parent's) and memoise it per configuration hash —
 the per-worker warm-up that makes process pools affordable.
 
-With ``REPRO_ARTIFACT_DIR`` set (see :mod:`repro.data.artifacts`), that
-warm-up goes through the persistent artifact store: every worker — and every
-*re-run in a fresh process* — loads trained matcher weights from disk
-instead of retraining, each reuse validated by the dataset fingerprint.
-
 Typical use::
 
     harness = ExperimentHarness(config, runner=SweepRunner(

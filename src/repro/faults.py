@@ -14,7 +14,7 @@ any other scope is rejected, since nothing would ever hit it):
 ========================  ====================================================
 ``unit.body``             sweep-runner work-unit execution (``execute_unit``)
 ``checkpoint.append``     one checkpoint-store JSONL append
-``artifact.write``        one atomic artifact write (text or npz)
+``artifact.write``        one atomic text or npz write (``save_model``)
 ``engine.batch``          one model ``predict_proba`` invocation
 ``serve.request``         one explanation-service request execution
 ========================  ====================================================
@@ -23,19 +23,17 @@ Fault kinds:
 
 ``error``
     Raise :class:`InjectedFault` (transient, an ``OSError`` with a settable
-    errno — ``errno.ENOSPC`` exercises the artifact store's degrade-to-memory
-    path, the default ``EIO`` exercises retry).
+    errno; the default ``EIO`` exercises retry).
 ``kill``
     Die on the spot: ``SIGKILL`` to self (``exit_code=-1``, the default) or
     ``os._exit(exit_code)``.  Under the ``processes`` executor this breaks
     the pool exactly like a real worker crash.
 ``delay``
     Sleep ``delay`` seconds — long enough to trip a per-unit deadline.
-``corrupt`` / ``torn``
+``torn``
     Returned to the caller as a :class:`FaultAction` instead of being
-    performed here: the artifact writer flips written bytes before the
-    rename (``corrupt``), the checkpoint store writes half a line and kills
-    the process (``torn``).
+    performed here: the checkpoint store writes half a line and kills the
+    process.
 
 Plans install process-wide via :func:`install_plan`, which also exports the
 plan to the ``REPRO_FAULT_PLAN`` environment variable so process-pool workers
@@ -67,7 +65,7 @@ from repro.exceptions import ReproError, TransientError
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: The fault kinds a rule may request.
-FAULT_KINDS = ("error", "kill", "delay", "corrupt", "torn")
+FAULT_KINDS = ("error", "kill", "delay", "torn")
 
 #: The scopes that call :func:`fault_step`, in the docstring table's order.
 FAULT_SCOPES = ("unit.body", "checkpoint.append", "artifact.write", "engine.batch", "serve.request")
@@ -143,7 +141,7 @@ class FaultRule:
 
 @dataclass(frozen=True)
 class FaultAction:
-    """A caller-handled fault (kinds ``corrupt`` and ``torn``)."""
+    """A caller-handled fault (kind ``torn``)."""
 
     kind: str
     rule: FaultRule
@@ -279,7 +277,7 @@ def fault_step(scope: str) -> FaultAction | None:
     Returns ``None`` (the overwhelmingly common case, and always when no
     plan is installed), raises :class:`InjectedFault`, kills the process,
     sleeps, or returns a :class:`FaultAction` the caller must enact
-    (``corrupt``/``torn``).
+    (``torn``).
     """
     if _ACTIVE_PLAN is None and not env.is_set(FAULT_PLAN_ENV):
         return None

@@ -28,7 +28,6 @@ from repro.models.training import (
     MODEL_FACTORIES,
     PAPER_MODEL_NAMES,
     ModelCache,
-    SHARED_MODEL_CACHE,
     TrainedModel,
     make_model,
     train_model,
@@ -54,7 +53,6 @@ __all__ = [
     "PredictionEngine",
     "RecordPairFeaturizer",
     "SerializedPairFeaturizer",
-    "SHARED_MODEL_CACHE",
     "TrainedModel",
     "TrainingReport",
     "accuracy_score",

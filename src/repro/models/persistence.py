@@ -2,8 +2,7 @@
 
 The matchers are tiny (a few thousand parameters), so persistence is a plain
 ``.npz`` of the MLP weight arrays plus a JSON sidecar with the model
-configuration.  This is enough to reuse a trained matcher across benchmark
-processes without retraining.
+configuration.
 """
 
 from __future__ import annotations
@@ -23,11 +22,8 @@ from repro.models.training import make_model
 def save_model(model: ERModel, directory: str | Path) -> Path:
     """Persist a trained matcher's weights and configuration to ``directory``.
 
-    Both files are written atomically (temp file + rename), so a killed or
-    concurrent save never leaves a partially written artifact: the artifact
-    store validates ``trained.json`` *last*, and concurrent savers of the
-    same key write byte-identical content (training is deterministic), so
-    whole-file replacement is always safe.
+    Both files are written atomically (temp file + fsync + rename), so a
+    killed save never leaves a torn file behind.
     """
     if not model.is_fitted:
         raise NotFittedError(f"cannot save unfitted model {model.name!r}")

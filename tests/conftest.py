@@ -16,19 +16,13 @@ from tests.helpers import ConstantModel, SimilarityModel, toy_dataset, toy_pairs
 
 
 @pytest.fixture(autouse=True)
-def _hermetic_artifact_env(monkeypatch):
-    """Keep the tier-1 suite independent of the ambient process environment.
+def _hermetic_fault_plan():
+    """Start and end every test with no fault plan installed.
 
-    The suite asserts exact build/load counters; an artifact directory
-    inherited from the developer's shell would turn cold builds into warm
-    loads (and pollute that store with test data).  Tests that exercise
-    persistence construct their own explicit :class:`ArtifactStore`.
-    A leaked ``REPRO_FAULT_PLAN`` would be worse — injected faults firing
-    inside unrelated tests — so fault plans are cleared the same way; chaos
-    tests install their own plans and clean up after themselves.
+    A ``REPRO_FAULT_PLAN`` inherited from the shell, or left behind by a
+    chaos test, would fire injected faults inside unrelated tests.
+    ``clear_plan`` also unsets the variable.
     """
-    monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-    monkeypatch.delenv(faults.FAULT_PLAN_ENV, raising=False)
     faults.clear_plan()
     yield
     faults.clear_plan()

@@ -419,12 +419,6 @@ class TestCertaExplainer:
         assert second.saved_predictions() == 0
         assert first.saved_predictions() >= 0
 
-    def test_strict_mode_raises_without_triangles(self, constant_model, sources, match_pair):
-        left, right = sources
-        explainer = CertaExplainer(constant_model, left, right, num_triangles=4, strict=True, seed=0)
-        with pytest.raises(ExplanationError):
-            explainer.explain_full(match_pair)
-
     def test_lenient_mode_returns_degenerate_explanation(self, constant_model, sources, match_pair):
         left, right = sources
         zeros = {
@@ -434,8 +428,7 @@ class TestCertaExplainer:
         }
         for batched in (True, False):
             explainer = CertaExplainer(
-                constant_model, left, right, num_triangles=4, strict=False, seed=0,
-                batched=batched,
+                constant_model, left, right, num_triangles=4, seed=0, batched=batched,
             )
             explanation = explainer.explain_full(match_pair)
             assert explanation_payload(explanation) == {

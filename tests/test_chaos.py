@@ -8,17 +8,14 @@ answer while the world misbehaves.  Every scenario follows one template:
 2. install a deterministic :class:`repro.faults.FaultPlan`,
 3. re-run and assert the rows/rankings/scores are **byte-equal** to the
    reference, with the recovery visible only in the provenance counters
-   (``retried``, ``worker_crashes``, ``deadline_exceeded``,
-   ``quarantined``).
+   (``retried``, ``worker_crashes``, ``deadline_exceeded``).
 
 Covered faults: transient work-unit errors (retry + backoff), per-unit
 deadline overruns, a ``SIGKILL``-ed process-pool worker (pool respawn +
-requeue), a real subprocess killed mid-checkpoint-append (torn-line resume),
-corrupted model-artifact bytes (quarantine + retrain), ``ENOSPC`` during
-model-artifact writes (degrade-to-memory) and flaky model invocations
-(retry + poison-row bisection).  A plan naming a scope outside
-:data:`repro.faults.FAULT_SCOPES` is rejected, so no scenario here can pass
-by injecting nothing.
+requeue), a real subprocess killed mid-checkpoint-append (torn-line resume)
+and flaky model invocations (retry + poison-row bisection).  A plan naming a
+scope outside :data:`repro.faults.FAULT_SCOPES` is rejected, so no scenario
+here can pass by injecting nothing.
 
 ``REPRO_CHAOS_SEED`` shifts the harness and fuzz seeds so the CI matrix runs
 the suite under several fixed seeds without any test-code changes.
@@ -33,22 +30,20 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import env, faults
-from repro.data.artifacts import ArtifactStore, write_atomic_npz, write_atomic_text
+from repro.data.artifacts import write_atomic_npz, write_atomic_text
 from repro.eval.harness import ExperimentHarness, HarnessConfig
 from repro.eval.runner import SweepRunner, WorkUnit, execute_unit, experiment_runner
 from repro.exceptions import EvaluationError, ModelError, is_transient
 from repro.faults import FaultPlan, FaultPlanError, FaultRule, InjectedFault
 from repro.models.engine import PredictionEngine
-from repro.models.training import ModelCache
 
-from tests.helpers import SimilarityModel, toy_dataset, toy_pairs, toy_sources
+from tests.helpers import SimilarityModel, toy_pairs, toy_sources
 from tests.test_datasource_fuzz import _run_sequence
 
 #: The CI chaos matrix sets this to run the whole file under distinct seeds.
@@ -184,53 +179,10 @@ class TestFaultPlanMechanics:
             execute_unit(unit, harness, **budgets)
 
 
-# -------------------------------------------------------------- artifact store
-
-
-def _cached_classical(store, dataset):
-    """``classical`` on ``dataset`` through a fresh store-backed model cache."""
-    return ModelCache(fast=True, artifact_store=store).get("classical", dataset)
+# --------------------------------------------------------------- atomic writers
 
 
 class TestArtifactChaos:
-    def test_corrupt_write_is_quarantined_then_rebuilt(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        dataset = toy_dataset()
-        pairs = dataset.test.pairs
-        # The first artifact write of a model save is its weights file.
-        faults.install_plan(plan(FaultRule(scope="artifact.write", kind="corrupt")))
-        reference = _cached_classical(store, dataset).model.predict_proba(pairs)
-        faults.clear_plan()
-
-        retrained = _cached_classical(store, dataset)
-        assert np.array_equal(retrained.model.predict_proba(pairs), reference)
-        assert (store.model_loads, store.model_saves) == (0, 2)  # poisoned artifact refused
-        assert store.quarantined == 1
-        assert list(store.directory.glob("**/*.corrupt-*")), "evidence file missing"
-        # The retrain re-saved a clean artifact: a third cache warm-loads.
-        loaded = _cached_classical(store, dataset)
-        assert np.array_equal(loaded.model.predict_proba(pairs), reference)
-        assert (store.model_loads, store.model_saves) == (1, 2)
-
-    def test_enospc_degrades_to_memory_with_one_warning(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        dataset = toy_dataset()
-        faults.install_plan(
-            plan(FaultRule(scope="artifact.write", errno_code=errno.ENOSPC, times=0))
-        )
-        with pytest.warns(RuntimeWarning, match="continuing memory-only") as caught:
-            trained = _cached_classical(store, dataset)
-        assert len(caught) == 1
-        assert trained.model.is_fitted
-        assert store.persistence_disabled
-        assert store.model_saves == 0
-        assert not list(store.directory.glob("models/*/weights.npz"))
-        # Later saves are silent no-ops: no second warning, no exception.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _cached_classical(store, dataset).model.is_fitted
-        assert store.model_saves == 0
-
     def test_atomic_writers_fsync_before_rename(self, tmp_path, monkeypatch):
         synced: list[int] = []
         replaced: list[int] = []

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.counters import Counters
-from repro.data.artifacts import ArtifactStoreStats
 from repro.data.indexing import IndexStats
 from repro.models.engine import EngineStats
 from repro.models.featurizer import FeaturizerStats
@@ -41,7 +40,6 @@ AS_DICT_KEYS = {
         "budget_nodes", "dispatches", "coalesced_dispatches", "merged_pairs",
         "deduped_pairs", "p50_latency_ms", "p99_latency_ms",
     },
-    ArtifactStoreStats: {"model_loads", "model_saves", "model_misses", "quarantined"},
 }
 
 #: The fields that are levels (high-water marks, quantiles), not counts.

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.data.blocking import top_k_neighbours
+from repro.data.indexing import get_source_index
 from repro.data.io import (
     load_dataset,
     read_pairs_csv,
@@ -82,11 +86,18 @@ class TestDatasetDirectory:
         loaded = load_dataset(directory, name="RENAMED")
         assert loaded.name == "RENAMED"
 
+    def test_index_over_a_loaded_dataset_ranks_like_the_full_scan(self, dataset, tmp_path):
+        loaded = load_dataset(save_dataset(dataset, tmp_path / "TOY"))
+        assert loaded.left.ids() == dataset.left.ids()
+        index = get_source_index(loaded.left, 2)
+        query = loaded.right.get("R0")
+        scan = top_k_neighbours(query, list(loaded.left), k=None, indexed=False)
+        assert [r.record_id for r in index.top_k(query, k=None)] == [r.record_id for r in scan]
+        assert index.builds == 1
+
 
 class TestContentHashMetadata:
     def test_saved_metadata_records_both_hashes(self, dataset, tmp_path):
-        import json
-
         save_dataset(dataset, tmp_path / "ds")
         metadata = json.loads((tmp_path / "ds" / "metadata.json").read_text(encoding="utf-8"))
         assert metadata["content_hashes"]["tableA"] == dataset.left.content_hash()
@@ -98,18 +109,32 @@ class TestContentHashMetadata:
         assert loaded.left.content_hash() == dataset.left.content_hash()
         assert loaded.right.content_hash() == dataset.right.content_hash()
 
-    def test_tampered_table_b_raises(self, dataset, tmp_path):
+    @pytest.mark.parametrize(
+        "table, old, new",
+        [("tableA", "sony", "pony"), ("tableB", "netgear", "notgear")],
+        ids=["tableA", "tableB"],
+    )
+    def test_tampered_table_raises(self, dataset, tmp_path, table, old, new):
         save_dataset(dataset, tmp_path / "ds")
-        table = tmp_path / "ds" / "tableB.csv"
-        table.write_text(
-            table.read_text(encoding="utf-8").replace("netgear", "notgear"), encoding="utf-8"
-        )
+        path = tmp_path / "ds" / f"{table}.csv"
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         with pytest.raises(DatasetError, match="content hash"):
             load_dataset(tmp_path / "ds")
 
-    def test_saved_metadata_records_the_hash_formula_version(self, dataset, tmp_path):
-        import json
+    def test_metadata_without_hashes_loads_unverified(self, dataset, tmp_path):
+        """Datasets saved without ``content_hashes`` (the original benchmark
+        layout) load without verification."""
+        save_dataset(dataset, tmp_path / "ds")
+        metadata_path = tmp_path / "ds" / "metadata.json"
+        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+        del metadata["content_hashes"]
+        metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
+        table = tmp_path / "ds" / "tableA.csv"
+        table.write_text(table.read_text(encoding="utf-8").replace("sony", "pony"), encoding="utf-8")
+        loaded = load_dataset(tmp_path / "ds")  # no hashes recorded: nothing to verify
+        assert "pony bravia theater" in {r.value("name") for r in loaded.left}
 
+    def test_saved_metadata_records_the_hash_formula_version(self, dataset, tmp_path):
         from repro.data.table import CONTENT_HASH_VERSION
 
         save_dataset(dataset, tmp_path / "ds")
@@ -119,8 +144,6 @@ class TestContentHashMetadata:
     def test_hash_formula_skew_skips_verification(self, dataset, tmp_path):
         """A dataset saved under another hash formula loads without a (false)
         corruption report — formula skew is not tampering."""
-        import json
-
         save_dataset(dataset, tmp_path / "ds")
         metadata_path = tmp_path / "ds" / "metadata.json"
         metadata = json.loads(metadata_path.read_text(encoding="utf-8"))

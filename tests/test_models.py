@@ -20,6 +20,7 @@ from repro.models.features import (
     attribute_comparison_vector,
     serialize_pair,
 )
+from repro.models import training as training_module
 from repro.models.persistence import load_model, save_model
 from repro.models.training import (
     MODEL_FACTORIES,
@@ -29,7 +30,7 @@ from repro.models.training import (
     train_model_zoo,
 )
 
-from tests.helpers import toy_dataset
+from tests.helpers import make_record, toy_dataset
 
 ALL_MODELS = sorted(MODEL_FACTORIES)
 
@@ -165,6 +166,28 @@ class TestModelZoo:
         cache.clear()
         assert cache.get("classical", ab_dataset) is not first
 
+    def test_mutated_dataset_retrains_in_the_same_process(self, monkeypatch):
+        """The memo is fingerprint-keyed: a lifecycle mutation must retrain
+        rather than serve the matcher fitted to the old data."""
+        trainings = []
+        original = training_module.train_model
+
+        def counting_train(model_name, dataset, **kwargs):
+            trainings.append(model_name)
+            return original(model_name, dataset, **kwargs)
+
+        monkeypatch.setattr(training_module, "train_model", counting_train)
+        dataset = toy_dataset()
+        cache = ModelCache(fast=True)
+        cache.get("classical", dataset)
+        cache.get("classical", dataset)
+        assert trainings == ["classical"]  # memo hit while the data is unchanged
+        dataset.left.update(
+            make_record("L0", "sony bravia theater", "a very different description", "199.99")
+        )
+        cache.get("classical", dataset)
+        assert trainings == ["classical", "classical"]  # mutation forces retraining
+
 
 class TestDittoAugmentation:
     def test_augmentation_preserves_labels(self):
@@ -189,6 +212,12 @@ class TestPersistence:
         restored = load_model(directory)
         pairs = ab_dataset.test.pairs[:10]
         assert np.allclose(model.predict_proba(pairs), restored.predict_proba(pairs), atol=1e-9)
+
+    def test_atomic_writes_leave_no_temp_files(self, tmp_path, trained_classical):
+        save_model(trained_classical.model, tmp_path / "model")
+        assert sorted(path.name for path in tmp_path.rglob("*")) == [
+            "config.json", "model", "weights.npz",
+        ]
 
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_pickle_round_trip_scores_identically(self, name):
