@@ -36,8 +36,8 @@ def main() -> None:
     trained = train_model("classical", dataset, fast=True)
     pairs = (dataset.test.positives() + dataset.test.negatives())[:4]
 
-    # 2. One servable target; the service seals the sources, builds the
-    #    indexes and starts the frontier scheduler when it enters.
+    # 2. One servable target; the service seals the sources and builds the
+    #    indexes when it enters.
     target = ServeTarget(
         name="ab",
         model=trained.model,

@@ -2,8 +2,10 @@
 
 ``ModelCache``, ``CheckpointStore`` and the prediction engine may be shared
 across a caller's threads, and the serve layer runs explanation requests on
-a thread pool; their invariants hold because every mutation of shared state
-happens under the object's lock.
+a thread pool.  Each of these objects keeps one lock and serialises its
+callers on it (the frontier scheduler keeps one condition instead); no
+per-key in-flight protocol sits on top.  Their invariants hold because every
+mutation of shared state happens under the object's lock.
 These rules check the discipline class-locally: state mutated under
 ``with self.<lock>:`` anywhere in a class must be mutated under it
 everywhere (CONC001), and a non-reentrant ``threading.Lock`` must not be

@@ -26,15 +26,14 @@ The engine is a drop-in replacement wherever a fitted model is expected for
 implementing ``predict_proba(Sequence[RecordPair]) -> np.ndarray`` (including
 the cheap deterministic matchers used in the tests).
 
-The engine is **thread-safe**: cache and counter mutations happen under one
-lock, and an uncached pair requested by several threads at once is claimed by
-exactly one of them (the *in-flight* map) — the claimer invokes the model and
-counts the miss, every other thread blocks on the claim and counts a hit, so
-concurrent explanation requests (the ``repro.serve`` workload) never
-double-invoke the model for the same content.  The cache-hit path stays
-lock-free: scores are published atomically into the cache dict, so readers
-need no lock, and the fault-free single-threaded overhead is one uncontended
-lock acquisition per call.
+The engine is **thread-safe** by serialisation: ``predict_proba`` holds the
+engine lock for the whole call, cache lookups and model invocation included,
+so concurrent callers run one at a time.  Each distinct content is still
+scored once, the counters still reconcile, and the wrapped model (whose
+featurizer caches and counters are not thread-safe) is never entered by two
+threads at once.  The serving layer sends every call through one
+:class:`~repro.serve.scheduler.FrontierScheduler`, which already makes them
+one at a time, so the lock is uncontended there.
 """
 
 from __future__ import annotations
@@ -65,23 +64,6 @@ def _record_key(record: Record) -> tuple:
 def pair_cache_key(pair: RecordPair) -> tuple:
     """Content-based cache key for a record pair (ignores ids and labels)."""
     return (_record_key(pair.left), _record_key(pair.right))
-
-
-class _InFlight:
-    """One uncached pair content currently being scored by some thread.
-
-    The claiming thread publishes ``score`` (or ``error``) and sets the
-    event; waiting threads block on the event and read the outcome.  The
-    event is created, under the engine lock, by the first thread that waits:
-    an uncontended claim allocates none.
-    """
-
-    __slots__ = ("event", "score", "error")
-
-    def __init__(self) -> None:
-        self.event: threading.Event | None = None
-        self.score: float | None = None
-        self.error: BaseException | None = None
 
 
 @runtime_checkable
@@ -174,15 +156,9 @@ class PredictionEngine(PredictionMixin):
         self.retries = max(0, retries)
         self._cache: dict[tuple, float] = {}
         self._stats = EngineStats()
-        #: Guards ``_cache`` / ``_stats`` / ``_inflight`` mutations.  Cache
-        #: *reads* stay lock-free: published scores are plain floats set by
-        #: one atomic dict store, so a racing reader sees either the score or
-        #: a miss, never a torn value.
+        #: Held for every ``predict_proba`` call and every cache or counter
+        #: mutation: one caller at a time reads the cache and enters the model.
         self._lock = threading.Lock()
-        #: Uncached contents currently being scored, keyed like ``_cache``.
-        #: Claiming an entry (under the lock) is what makes a miss exclusive:
-        #: every other thread wanting the same content waits on the claim.
-        self._inflight: dict[tuple, _InFlight] = {}
 
     # ------------------------------------------------------------------- stats
 
@@ -221,135 +197,49 @@ class PredictionEngine(PredictionMixin):
         """Matching scores in [0, 1] for each pair, batched and memoised.
 
         Duplicate pairs within one call are scored once; the duplicates (and
-        any previously cached pairs) count as cache hits.  Under concurrency
-        a pair content is scored once *across calls* too: the first thread to
-        want an uncached content claims it (one miss, one model invocation),
-        every other thread waits for the claim and counts a hit — the engine
-        never double-invokes the model for the same content.
+        any previously cached pairs) count as cache hits.  Concurrent calls
+        run one at a time, so a content another thread is scoring is a cache
+        hit once that thread's call returns.
         """
         pairs = list(pairs)
         if not pairs:
             return np.zeros(0, dtype=np.float64)
 
         scores = np.zeros(len(pairs), dtype=np.float64)
-        pending, pending_pairs, waiting, hits = self._claim(pairs, scores)
-
-        tally = {"batches": 0, "max_batch": 0, "retries": 0}
-        if pending_pairs:
-            computed: list[float] = []
-            try:
-                for start in range(0, len(pending_pairs), self.batch_size):
-                    chunk = pending_pairs[start : start + self.batch_size]
-                    computed.extend(self._model_scores(chunk, tally))
-            except BaseException as exc:
-                # Release our claims *before* re-raising so waiting threads
-                # fail fast instead of blocking forever.
-                self._abort_claims(pending, exc)
-                raise
-            self._publish(pending, computed, scores)
-
-        spent = EngineStats(requests=len(pairs), hits=hits, misses=len(pending_pairs), **tally)
         with self._lock:
-            self._stats += spent
-        # Waiting last, publishing first: two calls claiming disjoint halves
-        # of each other's key sets publish before they wait, so claim cycles
-        # cannot deadlock.
-        self._await_claims(waiting, scores)
-        return scores
-
-    def _claim(
-        self, pairs: list[RecordPair], scores: np.ndarray
-    ) -> tuple[dict[tuple, list[int]], list[RecordPair], dict[tuple, tuple[_InFlight, list[int]]], int]:
-        """Partition ``pairs`` into cached / claimed-by-us / claimed-elsewhere.
-
-        Fills ``scores`` for the cached positions as it goes.  Returns the
-        claim map (content key -> positions this call will compute), the
-        pairs to score in claim order, the wait map (key -> in-flight entry
-        owned by another thread, plus positions), and the hit count (cached
-        + in-call duplicates + served-by-another-thread).
-        """
-        pending: dict[tuple, list[int]] = {}
-        pending_pairs: list[RecordPair] = []
-        waiting: dict[tuple, tuple[_InFlight, list[int]]] = {}
-        hits = 0
-        unresolved: list[tuple[int, tuple, RecordPair]] = []
-        cache = self._cache
-        for index, pair in enumerate(pairs):
-            key = pair_cache_key(pair)
-            score = cache.get(key)
-            if score is not None:
-                # Lock-free fast path: a published score never changes.
-                scores[index] = score
-                hits += 1
-            else:
-                unresolved.append((index, key, pair))
-        if unresolved:
-            with self._lock:
-                for index, key, pair in unresolved:
-                    score = self._cache.get(key)
-                    if score is not None:
-                        scores[index] = score  # published since the fast path
-                        hits += 1
-                        continue
-                    positions = pending.get(key)
-                    if positions is not None:
-                        positions.append(index)
-                        hits += 1  # in-call duplicate of our own claim
-                        continue
-                    claimed = waiting.get(key)
-                    if claimed is not None:
-                        claimed[1].append(index)
-                        hits += 1
-                        continue
-                    entry = self._inflight.get(key)
-                    if entry is not None:
-                        if entry.event is None:
-                            entry.event = threading.Event()
-                        waiting[key] = (entry, [index])
-                        hits += 1  # served by another thread's invocation
-                        continue
-                    self._inflight[key] = _InFlight()
+            cache = self._cache
+            # Content key -> positions of every uncached occurrence, in
+            # first-occurrence order (the order ``pending_pairs`` is scored in).
+            pending: dict[tuple, list[int]] = {}
+            pending_pairs: list[RecordPair] = []
+            for index, pair in enumerate(pairs):
+                key = pair_cache_key(pair)
+                score = cache.get(key)
+                if score is not None:
+                    scores[index] = score
+                    continue
+                positions = pending.get(key)
+                if positions is None:
                     pending[key] = [index]
                     pending_pairs.append(pair)
-        return pending, pending_pairs, waiting, hits
+                else:
+                    positions.append(index)
 
-    def _publish(
-        self, pending: dict[tuple, list[int]], computed: list[float], scores: np.ndarray
-    ) -> None:
-        """Store computed scores in the cache and release the claims."""
-        with self._lock:
+            tally = {"batches": 0, "max_batch": 0, "retries": 0}
+            computed: list[float] = []
+            for start in range(0, len(pending_pairs), self.batch_size):
+                chunk = pending_pairs[start : start + self.batch_size]
+                computed.extend(self._model_scores(chunk, tally))
             for (key, positions), score in zip(pending.items(), computed):
                 for position in positions:
                     scores[position] = score
-                self._cache[key] = score
-                entry = self._inflight.pop(key, None)
-                if entry is not None:
-                    entry.score = score
-                    if entry.event is not None:
-                        entry.event.set()
+                cache[key] = score
 
-    def _abort_claims(self, pending: dict[tuple, list[int]], error: BaseException) -> None:
-        """Release claims after a failed model invocation, carrying the error."""
-        with self._lock:
-            for key in pending:
-                entry = self._inflight.pop(key, None)
-                if entry is not None:
-                    entry.error = error
-                    if entry.event is not None:
-                        entry.event.set()
-
-    def _await_claims(
-        self, waiting: dict[tuple, tuple[_InFlight, list[int]]], scores: np.ndarray
-    ) -> None:
-        """Block on claims owned by other threads and adopt their outcomes."""
-        for _key, (entry, positions) in waiting.items():
-            entry.event.wait()
-            if entry.error is not None or entry.score is None:
-                raise ModelError(
-                    f"prediction shared with a concurrent request failed: {entry.error}"
-                ) from entry.error
-            for position in positions:
-                scores[position] = entry.score
+            misses = len(pending_pairs)
+            self._stats += EngineStats(
+                requests=len(pairs), hits=len(pairs) - misses, misses=misses, **tally
+            )
+        return scores
 
     def _model_scores(self, chunk: list[RecordPair], tally: dict[str, int]) -> list[float]:
         """Score one chunk with bounded retry and poison-row bisection.

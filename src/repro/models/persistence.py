@@ -22,8 +22,11 @@ from repro.models.training import make_model
 def save_model(model: ERModel, directory: str | Path) -> Path:
     """Persist a trained matcher's weights and configuration to ``directory``.
 
-    Both files are written atomically (temp file + fsync + rename), so a
-    killed save never leaves a torn file behind.
+    Each file is written atomically (temp file + fsync + rename), so a killed
+    save never leaves a torn file behind.  The pair is not atomic together:
+    ``weights.npz`` is replaced first, so a save that fails before
+    ``config.json`` is written can leave new weights beside an older config,
+    which :func:`load_model` rejects when the shapes disagree.
     """
     if not model.is_fitted:
         raise NotFittedError(f"cannot save unfitted model {model.name!r}")
@@ -49,6 +52,8 @@ def load_model(directory: str | Path, **model_overrides) -> ERModel:
 
     The featurisation state of the stand-in matchers is deterministic (hashed
     embeddings), so restoring the MLP weights fully restores behaviour.
+    Raises :class:`~repro.exceptions.ModelError` when ``directory`` holds no
+    saved model or its weights do not fit its config.
     """
     directory = Path(directory)
     config_path = directory / "config.json"
@@ -66,6 +71,12 @@ def load_model(directory: str | Path, **model_overrides) -> ERModel:
     )
     with np.load(weights_path) as payload:
         weights = [payload[f"w{i}"] for i in range(len(payload.files))]
-    classifier.set_weights(weights)
+    try:
+        classifier.set_weights(weights)
+    except ValueError as exc:
+        raise ModelError(
+            f"{directory}: weights.npz does not fit config.json ({exc}); "
+            f"a save may have failed between its two writes"
+        ) from exc
     model._classifier = classifier
     return model

@@ -116,17 +116,15 @@ def _dataset_fingerprint(dataset: ERDataset) -> str:
 class ModelCache:
     """Memoises trained matchers per (dataset content fingerprint, model, fast) key.
 
-    Safe to share across a caller's threads: a per-key event guarantees each
-    matcher is trained exactly once while letting *different* (model,
-    dataset) keys train concurrently.  Process-pool workers don't share the
-    cache at all — each builds its own (training is deterministic, so
-    worker-trained matchers score identically).
+    ``get`` trains under the cache's lock, so callers sharing a cache across
+    threads run one at a time and each key trains once.  Process-pool
+    workers don't share the cache at all — each builds its own (training is
+    deterministic, so worker-trained matchers score identically).
     """
 
     fast: bool = True
     _cache: dict[tuple[str, str, bool], TrainedModel] = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-    _pending: dict[tuple[str, str, bool], threading.Event] = field(default_factory=dict, repr=False, compare=False)
 
     def get(self, model_name: str, dataset: ERDataset) -> TrainedModel:
         """Return a trained matcher, training it on first request.
@@ -137,25 +135,11 @@ class ModelCache:
         of silently reusing one fitted to the old data.
         """
         key = (_dataset_fingerprint(dataset), model_name, self.fast)
-        while True:
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    return cached
-                pending = self._pending.get(key)
-                if pending is None:
-                    # This thread trains; others wait on the event below.
-                    self._pending[key] = threading.Event()
-                    break
-            pending.wait()
-        try:
-            trained = train_model(model_name, dataset, fast=self.fast)
-            with self._lock:
-                self._cache[key] = trained
+        with self._lock:
+            trained = self._cache.get(key)
+            if trained is None:
+                trained = self._cache[key] = train_model(model_name, dataset, fast=self.fast)
             return trained
-        finally:
-            with self._lock:
-                self._pending.pop(key).set()
 
     def clear(self) -> None:
         """Drop all cached models."""

@@ -9,15 +9,16 @@ frontiers of concurrent requests into shared prediction batches**:
 .. code-block:: text
 
     clients --> asyncio queue --> worker threads --> FrontierScheduler --> engine
-                (admission         (one request       (drains pending       (dedupe
-                 control,           at a time,         frontiers, merges     by content
-                 load-shed)         budgets,           them into one         key, batch
-                                    retries)           model dispatch)       the rest)
+                (admission         (one request       (a submitting         (dedupe
+                 control,           at a time,         thread combines       by content
+                 load-shed)         budgets,           every queued          key, batch
+                                    retries)           frontier into one     the rest)
+                                                       engine call)
 
 Entry points: :class:`~repro.serve.service.ExplanationService` (async facade),
 :class:`~repro.serve.scheduler.FrontierScheduler` (cross-request batch
-coalescing, usable standalone), and the request/response dataclasses of
-:mod:`repro.serve.types`.
+coalescing by flat combining, usable standalone), and the request/response
+dataclasses of :mod:`repro.serve.types`.
 
 Coalescing changes which batch a pair is scored in, and nothing else: the
 explanation logic depends only on scores and the request seed.  For a

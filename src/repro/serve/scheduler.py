@@ -3,16 +3,18 @@
 Each explanation request explores its lattices frontier by frontier, and each
 frontier is one ``predict_proba`` call.  Run serially those calls arrive one
 at a time; run concurrently they arrive *interleaved* — and the
-:class:`FrontierScheduler` turns that interleaving into throughput.  Request
-threads submit their frontier as a ticket and block; a single dispatcher
-thread drains **all** queued tickets at once, concatenates their pairs into
-one engine call, and fans the scores back out.  While one dispatch is inside
-the model, new tickets accumulate, so the next drain naturally merges them
-(group-commit batching — no time window, no added latency when idle, and no
-nondeterminism: scores come from the same content-keyed engine either way).
-Deduplication across requests is the engine's own: merged pairs sharing a
-content key cost one model row, and pairs another request already scored are
-cache hits.
+:class:`FrontierScheduler` turns that interleaving into throughput by flat
+combining (Hendler, Incze, Shavit & Tzafrir, SPAA 2010).  A request thread
+queues its frontier as a ticket.  If no other thread is combining, it takes
+**every** queued ticket, its own included, concatenates their pairs into one
+engine call and fans the scores back out; otherwise it waits, and if its
+ticket is still queued when the combiner leaves, it combines next.  While one
+combined call is inside the model, new tickets accumulate, so the next
+combiner naturally merges them (group-commit batching — no time window, no
+extra thread, no hop when idle, and no nondeterminism: scores come from the
+same content-keyed engine either way).  Deduplication across requests is the
+engine's own: merged pairs sharing a content key cost one model row, and
+pairs another request already scored are cache hits.
 
 :class:`BudgetedPredictor` is the thin per-request wrapper the service hands
 to each :class:`~repro.certa.explainer.CertaExplainer`: it enforces the
@@ -32,17 +34,21 @@ import numpy as np
 from repro.data.records import RecordPair
 from repro.exceptions import BudgetError, ServeError
 from repro.models.base import PredictionMixin
-from repro.models.engine import EngineStats, PredictionEngine
+from repro.models.engine import PredictionEngine
 
 
 class _Ticket:
-    """One submitted frontier: its pairs, and a slot for the outcome."""
+    """One submitted frontier: its pairs, and a slot for the outcome.
 
-    __slots__ = ("pairs", "event", "scores", "error")
+    ``done`` is set, under the scheduler's condition, when the dispatch that
+    took the ticket has ended; ``scores`` is then ``None`` only if it failed.
+    """
+
+    __slots__ = ("pairs", "done", "scores", "error")
 
     def __init__(self, pairs: list[RecordPair]) -> None:
         self.pairs = pairs
-        self.event = threading.Event()
+        self.done = False
         self.scores: np.ndarray | None = None
         self.error: BaseException | None = None
 
@@ -53,10 +59,11 @@ class FrontierScheduler(PredictionMixin):
     Implements the same prediction protocol as the engine it wraps
     (``predict_proba`` / ``predict_pair`` / ``predict`` / ``predict_match``),
     so a :class:`~repro.certa.explainer.CertaExplainer` accepts it as its
-    ``scheduler`` unchanged.  Start before submitting; ``close()`` drains the
-    queue, then refuses new tickets.  Usable as a context manager.
+    ``scheduler`` unchanged.  Every engine call is made by a submitting
+    thread.  ``close()`` refuses new tickets and waits for the active
+    combiner.  Usable as a context manager.
 
-    Counters (all mutated by the dispatcher under the internal condition):
+    Counters (all mutated by the combiner under the internal condition):
 
     ``submitted``
         Tickets accepted (one per frontier submission).
@@ -76,8 +83,8 @@ class FrontierScheduler(PredictionMixin):
         self.engine = engine
         self._cv = threading.Condition()
         self._tickets: list[_Ticket] = []
+        self._combining = False
         self._closed = False
-        self._thread: threading.Thread | None = None
         self.submitted = 0
         self.dispatches = 0
         self.coalesced_dispatches = 0
@@ -86,106 +93,80 @@ class FrontierScheduler(PredictionMixin):
 
     # ---------------------------------------------------------------- lifecycle
 
-    def start(self) -> "FrontierScheduler":
-        """Spawn the dispatcher thread (idempotent); returns ``self``."""
-        with self._cv:
-            if self._closed:
-                raise ServeError("cannot start a closed FrontierScheduler")
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="frontier-scheduler", daemon=True
-                )
-                self._thread.start()
-        return self
-
     def close(self) -> None:
-        """Drain queued tickets, stop the dispatcher, refuse new submissions."""
+        """Refuse new tickets, then wait for the active combiner to finish."""
         with self._cv:
             self._closed = True
-            self._cv.notify_all()
-            thread = self._thread
-        if thread is not None:
-            thread.join()
+            while self._combining:
+                self._cv.wait()
 
     def __enter__(self) -> "FrontierScheduler":
-        return self.start()
+        return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # --------------------------------------------------------------- dispatcher
-
-    def _run(self) -> None:
-        while True:
-            with self._cv:
-                while not self._tickets and not self._closed:
-                    self._cv.wait()
-                if not self._tickets:
-                    return  # closed and drained
-                batch = self._tickets
-                self._tickets = []
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: list[_Ticket]) -> None:
-        merged: list[RecordPair] = []
-        for ticket in batch:
-            merged.extend(ticket.pairs)
-        before = self.engine.stats
-        try:
-            scores = self.engine.predict_proba(merged)
-        except Exception as exc:  # repro-lint: disable=EXC002 -- recovery contract: the failure is carried to every submitting request thread via its ticket and re-raised there (transient classification intact through the cause chain); the dispatcher itself must survive to serve later frontiers
-            with self._cv:
-                self._count_dispatch(batch, merged, before, failed=True)
-            for ticket in batch:
-                ticket.error = exc
-                ticket.event.set()
-            return
-        offset = 0
-        for ticket in batch:
-            ticket.scores = scores[offset : offset + len(ticket.pairs)]
-            offset += len(ticket.pairs)
-        with self._cv:
-            self._count_dispatch(batch, merged, before, failed=False)
-        for ticket in batch:
-            ticket.event.set()
-
-    def _count_dispatch(
-        self,
-        batch: list[_Ticket],
-        merged: list[RecordPair],
-        before: EngineStats,
-        failed: bool,
-    ) -> None:
-        self.dispatches += 1
-        if len(batch) > 1:
-            self.coalesced_dispatches += 1
-        self.merged_pairs += len(merged)
-        if not failed:
-            delta = self.engine.stats - before
-            self.deduped_pairs += max(0, len(merged) - delta.misses)
-
     # --------------------------------------------------------------- submission
 
     def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        """Submit one frontier and block until the merged dispatch resolves."""
+        """Submit one frontier; combine the queue or wait for the combiner."""
         pairs = list(pairs)
         if not pairs:
             return np.zeros(0, dtype=np.float64)
         ticket = _Ticket(pairs)
+        batch: list[_Ticket] = []
         with self._cv:
             if self._closed:
                 raise ServeError("FrontierScheduler is closed; no new frontiers accepted")
-            if self._thread is None:
-                raise ServeError("FrontierScheduler not started; call start() first")
             self._tickets.append(ticket)
             self.submitted += 1
-            self._cv.notify_all()
-        ticket.event.wait()
+            while self._combining and not ticket.done:
+                self._cv.wait()
+            if not ticket.done:
+                # No combiner, and our ticket is still queued: take the queue.
+                self._combining = True
+                batch, self._tickets = self._tickets, []
+        if batch:
+            self._combine(batch)
         if ticket.error is not None or ticket.scores is None:
             raise ServeError(
                 f"coalesced prediction dispatch failed: {ticket.error}"
             ) from ticket.error
         return np.array(ticket.scores, dtype=np.float64)
+
+    def _combine(self, batch: list[_Ticket]) -> None:
+        """Score ``batch`` in one engine call and resolve every ticket in it.
+
+        The tickets are resolved, the combining flag cleared and the waiters
+        woken even when the call raises; a ticket left without scores then
+        fails in its own submitter.
+        """
+        merged = [pair for ticket in batch for pair in ticket.pairs]
+        before = self.engine.stats
+        scores: np.ndarray | None = None
+        error: BaseException | None = None
+        try:
+            scores = self.engine.predict_proba(merged)
+        except Exception as exc:  # repro-lint: disable=EXC002 -- recovery contract: the failure is carried to every submitter in the batch via its ticket and re-raised there as ServeError (transient classification intact through the cause chain); the combiner must still hand the queue to the next waiter
+            error = exc
+        finally:
+            with self._cv:
+                self.dispatches += 1
+                if len(batch) > 1:
+                    self.coalesced_dispatches += 1
+                self.merged_pairs += len(merged)
+                if scores is not None:
+                    delta = self.engine.stats - before
+                    self.deduped_pairs += max(0, len(merged) - delta.misses)
+                offset = 0
+                for ticket in batch:
+                    if scores is not None:
+                        ticket.scores = scores[offset : offset + len(ticket.pairs)]
+                        offset += len(ticket.pairs)
+                    ticket.error = error
+                    ticket.done = True
+                self._combining = False
+                self._cv.notify_all()
 
 
 class BudgetedPredictor(PredictionMixin):

@@ -127,7 +127,7 @@ class ExplanationService:
     # ---------------------------------------------------------------- lifecycle
 
     async def start(self) -> "ExplanationService":
-        """Warm every target (seal, index, scheduler) and start the workers."""
+        """Warm every target (seal, index) and start the workers."""
         if self._started:
             return self
         loop = asyncio.get_running_loop()
@@ -148,7 +148,6 @@ class ExplanationService:
             for source in (target.left_source, target.right_source):
                 source.seal()
                 get_source_index(source, DEFAULT_BLOCKING_TOKEN_LENGTH).ensure_fresh()
-            prepared.scheduler.start()
 
     async def stop(self) -> None:
         """Drain admitted requests, stop workers, close the schedulers."""

@@ -42,8 +42,10 @@ from repro.eval.runner import SweepRunner, WorkUnit, execute_unit, experiment_ru
 from repro.exceptions import EvaluationError, ModelError, is_transient
 from repro.faults import FaultPlan, FaultPlanError, FaultRule, InjectedFault
 from repro.models.engine import PredictionEngine
+from repro.models.persistence import load_model, save_model
+from repro.models.training import make_model
 
-from tests.helpers import SimilarityModel, toy_pairs, toy_sources
+from tests.helpers import SimilarityModel, toy_dataset, toy_pairs, toy_sources
 from tests.test_datasource_fuzz import _run_sequence
 
 #: The CI chaos matrix sets this to run the whole file under distinct seeds.
@@ -204,6 +206,33 @@ class TestArtifactChaos:
         replaced.clear()
         write_atomic_npz(tmp_path / "b.npz", {"x": np.arange(3)})
         assert replaced and replaced[0] >= 1
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_enospc_save_leaves_no_temp_file_and_no_loadable_model(self, tmp_path, step):
+        """ENOSPC on the weights write (step 1) or the config write (step 2),
+        into a fresh directory and over a saved model of another shape."""
+        dataset = toy_dataset()
+        old, new = make_model("deepmatcher", epochs=2), make_model("ditto", epochs=2)
+        for model in (old, new):
+            model.fit(dataset.train, dataset.valid)
+        fresh, overwritten = tmp_path / "fresh", tmp_path / "overwritten"
+        save_model(old, overwritten)
+        for directory in (fresh, overwritten):
+            faults.install_plan(
+                plan(FaultRule(scope="artifact.write", step=step, errno_code=errno.ENOSPC))
+            )
+            with pytest.raises(InjectedFault) as excinfo:
+                save_model(new, directory)
+            assert excinfo.value.errno == errno.ENOSPC
+            leftovers = [*directory.glob(".weights.npz.*"), *directory.glob(".config.json.*")]
+            assert not leftovers
+        with pytest.raises(ModelError):
+            load_model(fresh)
+        if step == 1:  # the failed save replaced nothing
+            assert load_model(overwritten).name == "deepmatcher"
+        else:  # the new weights sit beside the old config
+            with pytest.raises(ModelError, match=re.escape(str(overwritten))):
+                load_model(overwritten)
 
 
 # ------------------------------------------------------------ prediction engine

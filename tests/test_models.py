@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -165,6 +167,36 @@ class TestModelZoo:
         assert first is second
         cache.clear()
         assert cache.get("classical", ab_dataset) is not first
+
+    def test_racing_gets_on_one_key_train_once(self, monkeypatch):
+        trainings = []
+        original = training_module.train_model
+
+        def slow_train(model_name, dataset, **kwargs):
+            trainings.append(model_name)
+            time.sleep(0.05)  # hold the first training open while the rest race
+            return original(model_name, dataset, **kwargs)
+
+        monkeypatch.setattr(training_module, "train_model", slow_train)
+        dataset = toy_dataset()
+        cache = ModelCache(fast=True)
+        threads = 8
+        barrier = threading.Barrier(threads)
+        results: list[object] = [None] * threads
+
+        def racer(slot: int) -> None:
+            barrier.wait()
+            results[slot] = cache.get("classical", dataset)
+
+        workers = [threading.Thread(target=racer, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30.0)
+            assert not worker.is_alive()
+        assert trainings == ["classical"]
+        assert results[0] is not None
+        assert all(result is results[0] for result in results)
 
     def test_mutated_dataset_retrains_in_the_same_process(self, monkeypatch):
         """The memo is fingerprint-keyed: a lifecycle mutation must retrain

@@ -16,9 +16,9 @@ Three suites, matching the guarantees the engine makes:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +35,6 @@ from repro.certa.perturbation import perturbed_pair
 from repro.data.records import RecordPair
 from repro.data.table import DataSource
 from repro.exceptions import LatticeError, ModelError
-from repro.models import engine as engine_module
 from repro.models.engine import EngineStats, PredictionEngine
 
 from tests.helpers import SimilarityModel, make_record, toy_pairs, toy_sources
@@ -492,7 +491,8 @@ class TestGoldenEquivalence:
 
 class TestEngineConcurrency:
     """The engine's thread-safety contract: one model row per content key no
-    matter how many threads race, and counters that still reconcile."""
+    matter how many threads race, one caller inside the model at a time, and
+    counters that still reconcile."""
 
     class _PausingModel(SimilarityModel):
         """Holds every batch open long enough for racers to pile up."""
@@ -538,51 +538,23 @@ class TestEngineConcurrency:
         assert stats.hits == threads - 1
         assert stats.hits + stats.misses == stats.requests
 
-    @staticmethod
-    def count_events(monkeypatch) -> list:
-        """Record every ``threading.Event`` the engine module creates."""
-        created: list = []
-
-        def event() -> threading.Event:
-            created.append(threading.Event())
-            return created[-1]
-
-        monkeypatch.setattr(
-            engine_module, "threading", SimpleNamespace(Event=event, Lock=threading.Lock)
-        )
-        return created
-
-    def test_single_threaded_explanation_creates_no_event(self, sources, match_pair, monkeypatch):
-        created = self.count_events(monkeypatch)
-        left, right = sources
-        engine = PredictionEngine(SimilarityModel())
-        explainer = CertaExplainer(engine.model, left, right, num_triangles=6, seed=0, engine=engine)
-        explanation = explainer.explain_full(match_pair)
-        assert explanation.engine_stats.misses > 0
-        assert created == []
-
-    def test_waiters_on_one_claim_share_one_event(self, match_pair, monkeypatch):
-        created = self.count_events(monkeypatch)
-        engine = PredictionEngine(self._PausingModel())
-        threads = 6
-        barrier = threading.Barrier(threads)
-        scores: list[float] = [0.0] * threads
-
-        def racer(slot: int) -> None:
-            barrier.wait()
-            scores[slot] = engine.predict_pair(match_pair)
-
-        workers = [threading.Thread(target=racer, args=(i,)) for i in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert len(set(scores)) == 1 and scores[0] > 0.0
-        assert engine.stats.misses == 1
-        assert len(created) <= 1  # made by the first waiter, reused by the rest
-
     def test_racing_threads_on_disjoint_batches_reconcile(self, labelled_pairs):
-        engine = PredictionEngine(SimilarityModel())
+        inside = [0, 0]  # [threads in the model now, most ever at once]
+        guard = threading.Lock()
+
+        class OverlapRecordingModel(SimilarityModel):
+            def predict_proba(self, pairs) -> np.ndarray:
+                with guard:
+                    inside[0] += 1
+                    inside[1] = max(inside)
+                time.sleep(0.005)  # a window for a second caller to enter
+                try:
+                    return super().predict_proba(pairs)
+                finally:
+                    with guard:
+                        inside[0] -= 1
+
+        engine = PredictionEngine(OverlapRecordingModel(), batch_size=2)
         threads = 6
         barrier = threading.Barrier(threads)
         errors: list[BaseException] = []
@@ -591,24 +563,31 @@ class TestEngineConcurrency:
             try:
                 barrier.wait()
                 # Overlapping slices: every pair is requested by several
-                # threads, so claims and waits interleave both ways.
+                # threads, and each call needs several model batches.
                 for _ in range(3):
                     engine.predict_proba(labelled_pairs[slot % 3 :])
             except BaseException as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
-        workers = [threading.Thread(target=racer, args=(i,)) for i in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=racer, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
+        assert inside[1] == 1  # the model was never entered by two threads at once
         stats = engine.stats
         assert stats.hits + stats.misses == stats.requests
         # Every distinct content key costs exactly one miss, ever.
         assert stats.misses == len(labelled_pairs)
 
-    def test_waiters_surface_the_claim_owners_failure(self, match_pair):
+    def test_racers_each_surface_the_model_failure(self, match_pair):
         in_model = threading.Event()
         release = threading.Event()
 
@@ -616,7 +595,7 @@ class TestEngineConcurrency:
             def predict_proba(self, pairs) -> np.ndarray:
                 in_model.set()
                 release.wait(timeout=5.0)
-                raise LatticeError("owner failed mid-claim")  # non-transient
+                raise LatticeError("owner failed mid-call")  # non-transient
 
         engine = PredictionEngine(BlockingBrokenModel())
         outcomes: dict[str, BaseException] = {}
@@ -638,19 +617,16 @@ class TestEngineConcurrency:
         assert in_model.wait(timeout=5.0)
         waiter_thread = threading.Thread(target=waiter)
         waiter_thread.start()
-        time.sleep(0.05)  # let the waiter join the in-flight claim
+        time.sleep(0.05)  # let the waiter block on the engine behind the owner
         release.set()
-        owner_thread.join()
-        waiter_thread.join()
+        for thread in (owner_thread, waiter_thread):
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
         assert isinstance(outcomes["owner"], LatticeError)
-        waiter_error = outcomes["waiter"]
-        assert isinstance(waiter_error, (ModelError, LatticeError))
-        if isinstance(waiter_error, ModelError):
-            assert "concurrent request" in str(waiter_error)
-            assert isinstance(waiter_error.__cause__, LatticeError)
-        # A failed claim must not poison the key: a retry re-invokes cleanly.
-        release.set()
-        with pytest.raises((ModelError, LatticeError)):
+        # The failed call cached nothing: the waiter scored the pair itself.
+        assert isinstance(outcomes["waiter"], LatticeError)
+        # A failed call must not poison the key: a retry re-invokes cleanly.
+        with pytest.raises(LatticeError):
             engine.predict_pair(match_pair)
 
     def test_concurrent_explainers_share_one_engine_safely(self, sources, match_pair):

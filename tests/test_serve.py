@@ -5,20 +5,19 @@ matcher: an explanation served through the full concurrent pipeline —
 admission queue, worker pool, cross-request frontier coalescing, shared
 engine cache — must serialise to exactly the bytes a direct single-threaded
 :class:`CertaExplainer` run produces, including while a
-:class:`repro.faults.FaultPlan` is throwing transient engine errors and
-``ENOSPC`` at the stack.  A real neural matcher scores a row slightly
-differently depending on the batch around it, so with one the served and
-direct payloads must agree to 9 significant digits.  Around that sit the
-protocol tests: a full queue sheds with a clean
-:class:`~repro.exceptions.AdmissionError` (never a partial explanation),
-budget overruns fail whole with :class:`~repro.exceptions.BudgetError`, and
-the scheduler/budget wrappers behave standalone.
+:class:`repro.faults.FaultPlan` is throwing transient engine errors.  A real
+neural matcher scores a row slightly differently depending on the batch
+around it, so with one the served and direct payloads must agree to 9
+significant digits.  Around that sit the protocol tests: a full queue sheds
+with a clean :class:`~repro.exceptions.AdmissionError` (never a partial
+explanation), budget overruns fail whole with
+:class:`~repro.exceptions.BudgetError`, and the scheduler/budget wrappers
+behave standalone.
 """
 
 from __future__ import annotations
 
 import asyncio
-import errno
 import json
 import threading
 import time
@@ -57,15 +56,62 @@ SEED = 7
 
 
 class SlowModel(SimilarityModel):
-    """Similarity scores behind a per-batch pause (drives coalescing/shedding)."""
+    """Similarity scores behind a per-batch pause (drives coalescing/shedding).
+
+    ``callers`` records the thread of every batch.
+    """
 
     def __init__(self, pause: float = 0.02) -> None:
         super().__init__()
         self.pause = pause
+        self.callers: list[int] = []
 
     def predict_proba(self, pairs) -> np.ndarray:
+        self.callers.append(threading.get_ident())
         time.sleep(self.pause)
         return super().predict_proba(pairs)
+
+
+class GatedModel(SimilarityModel):
+    """Holds each batch inside the model until the test opens its gate.
+
+    Batch ``i`` (from 0) records its thread in ``callers``, sets
+    ``entered[i]``, waits for ``gates[i]``, then raises ``failures[i]`` if
+    there is one.
+    """
+
+    def __init__(self, batches: int, failures: dict[int, Exception] | None = None) -> None:
+        super().__init__()
+        self.entered = [threading.Event() for _ in range(batches)]
+        self.gates = [threading.Event() for _ in range(batches)]
+        self.failures = failures or {}
+        self.callers: list[int] = []
+
+    def predict_proba(self, pairs) -> np.ndarray:
+        batch = len(self.callers)
+        self.callers.append(threading.get_ident())
+        self.entered[batch].set()
+        if not self.gates[batch].wait(timeout=10.0):
+            raise AssertionError(f"gate {batch} never opened")
+        if batch in self.failures:
+            raise self.failures[batch]
+        return super().predict_proba(pairs)
+
+
+def wait_until(condition, timeout: float = 10.0) -> None:
+    """Poll ``condition`` until it holds; fail the test after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.001)
+
+
+def join_all(threads, timeout: float = 10.0) -> None:
+    """Join every thread and fail the test if one is still running."""
+    for thread in threads:
+        thread.join(timeout=timeout)
+        assert not thread.is_alive()
 
 
 class FailingModel(SimilarityModel):
@@ -176,10 +222,7 @@ class TestGoldenConcurrency:
     def test_served_identical_under_transient_engine_faults(self):
         faults.install_plan(
             FaultPlan(
-                rules=(
-                    FaultRule(scope="engine.batch", step=2, times=1),
-                    FaultRule(scope="artifact.write", errno_code=errno.ENOSPC, times=0),
-                )
+                rules=(FaultRule(scope="engine.batch", step=2, times=1),)
             )
         )
         target = make_target()
@@ -427,17 +470,19 @@ class TestFrontierScheduler:
         assert single == expected[0]
 
     def test_concurrent_submissions_coalesce(self, labelled_pairs):
-        scheduler = FrontierScheduler(PredictionEngine(SlowModel())).start()
+        model = SlowModel()
+        scheduler = FrontierScheduler(PredictionEngine(model))
         results: dict[int, np.ndarray] = {}
+        submitters: set[int] = set()
 
         def submit(index: int) -> None:
+            submitters.add(threading.get_ident())
             results[index] = scheduler.predict_proba(labelled_pairs[:4])
 
         threads = [threading.Thread(target=submit, args=(i,)) for i in range(8)]
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join()
+        join_all(threads)
         scheduler.close()
         assert scheduler.submitted == 8
         # The first dispatch takes whatever arrived; everything queued behind
@@ -445,47 +490,85 @@ class TestFrontierScheduler:
         assert scheduler.dispatches < scheduler.submitted
         assert scheduler.coalesced_dispatches >= 1
         assert scheduler.deduped_pairs > 0
+        # Every engine call is made by a thread that submitted a frontier.
+        assert model.callers and set(model.callers) <= submitters
         expected = PredictionEngine(SimilarityModel()).predict_proba(labelled_pairs[:4])
         for scores in results.values():
             np.testing.assert_array_equal(scores, expected)
 
     def test_unstarted_and_closed_schedulers_refuse_tickets(self, labelled_pairs):
         scheduler = FrontierScheduler(PredictionEngine(SimilarityModel()))
-        with pytest.raises(ServeError, match="not started"):
-            scheduler.predict_proba(labelled_pairs[:1])
-        scheduler.start()
         scheduler.close()
         with pytest.raises(ServeError, match="closed"):
             scheduler.predict_proba(labelled_pairs[:1])
-        with pytest.raises(ServeError, match="closed"):
-            scheduler.start()
 
-    def test_dispatch_failure_reaches_every_submitter_and_dispatcher_survives(
-        self, labelled_pairs
-    ):
-        flaky = SimilarityModel()
-        original = flaky.predict_proba
+    def test_failed_dispatch_reaches_every_submitter_then_recovers(self, labelled_pairs):
+        # Batch 0 (ticket a alone) holds the model while b and c queue; batch 1
+        # combines b and c and fails while d queues; d then combines batch 2.
+        model = GatedModel(batches=3, failures={1: ModelError("boom")})
+        scheduler = FrontierScheduler(PredictionEngine(model))
+        outcomes: dict[str, object] = {}
+        idents: dict[str, int] = {}
 
-        def broken(pairs):
-            raise ModelError("boom")
+        def submit(name: str, pairs) -> None:
+            idents[name] = threading.get_ident()
+            try:
+                outcomes[name] = scheduler.predict_proba(pairs)
+            except ServeError as exc:
+                outcomes[name] = exc
 
-        engine = PredictionEngine(flaky)
-        with FrontierScheduler(engine) as scheduler:
-            flaky.predict_proba = broken
-            with pytest.raises(ServeError, match="dispatch failed") as excinfo:
-                scheduler.predict_proba(labelled_pairs[:2])
-            assert isinstance(excinfo.value.__cause__, ModelError)
-            # the dispatcher must survive a failed dispatch
-            flaky.predict_proba = original
-            engine.clear_cache()
-            scores = scheduler.predict_proba(labelled_pairs[:2])
-        np.testing.assert_array_equal(
-            scores, PredictionEngine(SimilarityModel()).predict_proba(labelled_pairs[:2])
+        def start(name: str, pairs) -> threading.Thread:
+            submitted = scheduler.submitted
+            thread = threading.Thread(target=submit, args=(name, pairs))
+            thread.start()
+            wait_until(lambda: scheduler.submitted == submitted + 1)
+            return thread
+
+        threads = [start("a", labelled_pairs[0:1])]
+        assert model.entered[0].wait(timeout=10.0)
+        threads += [start("b", labelled_pairs[1:2]), start("c", labelled_pairs[2:3])]
+        model.gates[0].set()
+        assert model.entered[1].wait(timeout=10.0)
+        threads.append(start("d", labelled_pairs[1:3]))
+        model.gates[1].set()
+        model.gates[2].set()
+        join_all(threads)
+
+        for name in ("b", "c"):
+            assert isinstance(outcomes[name], ServeError)
+            assert "dispatch failed" in str(outcomes[name])
+            assert isinstance(outcomes[name].__cause__, ModelError)
+        expected = PredictionEngine(SimilarityModel()).predict_proba(labelled_pairs[:3])
+        np.testing.assert_array_equal(outcomes["a"], expected[0:1])
+        np.testing.assert_array_equal(outcomes["d"], expected[1:3])
+        assert model.callers[2] == idents["d"]  # d combined its own ticket
+        assert (scheduler.dispatches, scheduler.coalesced_dispatches) == (3, 1)
+
+    def test_close_waits_for_the_active_dispatch_then_refuses_tickets(self, labelled_pairs):
+        model = GatedModel(batches=1)
+        scheduler = FrontierScheduler(PredictionEngine(model))
+        results: list[np.ndarray] = []
+        submitter = threading.Thread(
+            target=lambda: results.append(scheduler.predict_proba(labelled_pairs[:2]))
         )
+        submitter.start()
+        assert model.entered[0].wait(timeout=10.0)
+        closer = threading.Thread(target=scheduler.close)
+        closer.start()
+        closer.join(timeout=0.1)
+        assert closer.is_alive()  # the dispatch is still inside the model
+        model.gates[0].set()
+        join_all([closer, submitter])
+        assert scheduler.dispatches == 1
+        np.testing.assert_array_equal(
+            results[0], PredictionEngine(SimilarityModel()).predict_proba(labelled_pairs[:2])
+        )
+        with pytest.raises(ServeError, match="closed"):
+            scheduler.predict_proba(labelled_pairs[:1])
 
     def test_empty_frontier_short_circuits(self):
         scheduler = FrontierScheduler(PredictionEngine(SimilarityModel()))
-        assert scheduler.predict_proba([]).shape == (0,)  # no ticket, no start needed
+        assert scheduler.predict_proba([]).shape == (0,)  # no ticket
         assert scheduler.submitted == 0
 
 
